@@ -2,13 +2,11 @@
 
 #include <bit>
 #include <chrono>
-#include <optional>
 
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
-#include "core/query_scratch.h"
-#include "device/memory_tracker.h"
 
 namespace airindex::core {
 namespace {
@@ -82,22 +80,14 @@ Result<std::unique_ptr<ArcFlagOnAir>> ArcFlagOnAir::Build(
 device::QueryMetrics ArcFlagOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
-  s.session.BeginQueryStats();
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  QueryScratch& s = run.scratch();
 
   // Collected network data (node-id addressed) and raw flag chunks. The
   // coordinates are moved into the rebuilt Graph below, so they cannot be
   // pooled; the edge list can.
   std::vector<graph::Point> coords(num_nodes_);
-  std::vector<graph::EdgeTriplet>& edges = s.edges;
-  edges.reserve(num_arcs_);
+  s.edges.reserve(num_arcs_);
   std::vector<double> splits;
   struct FlagChunk {
     uint32_t first_arc;
@@ -106,10 +96,9 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
   };
   std::vector<FlagChunk> flag_chunks;
   bool header_ok = false;
-  double cpu_ms = 0.0;
 
   Status receive_status = ReceiveFullCycleCached(
-      session, memory, &s.session,
+      run.session, run.memory, &s.session,
       [&options](const broadcast::ReceivedSegment& seg) {
         if (seg.type == broadcast::SegmentType::kNetworkData) return true;
         // A lost flag chunk degrades to all-ones (§6.2), but a lost header
@@ -123,25 +112,8 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          const bool valid = MemoValidate(s.decode_cache, seg, [&] {
-            return broadcast::ValidateNodeRecords(seg.payload, encoding_)
-                .ok();
-          });
-          if (valid) {
-            size_t added = 0;
-            size_t record_count = 0;
-            broadcast::NodeRecordCursor cursor(seg.payload, encoding_);
-            while (cursor.Next(&s.record)) {
-              ++record_count;
-              coords[s.record.id] = s.record.coord;
-              for (const auto& arc : s.record.arcs) {
-                edges.push_back({s.record.id, arc.to, arc.weight});
-                ++added;
-              }
-            }
-            memory.Charge(added * 12 + record_count * 20);
-          }
-          memory.Release(seg.payload.size());
+          run.IngestEdges(seg, encoding_, coords);
+          run.memory.Release(seg.payload.size());
         } else if (seg.segment_id == kHeaderSegment) {
           if (seg.complete) {
             ByteReader reader(seg.payload);
@@ -154,8 +126,8 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
             }
             header_ok = true;
           }
-          memory.Charge(splits.size() * 8);
-          memory.Release(seg.payload.size());
+          run.memory.Charge(splits.size() * 8);
+          run.memory.Release(seg.payload.size());
         } else {
           FlagChunk chunk;
           chunk.first_arc = (seg.segment_id - 1) * kFlagChunkArcs;
@@ -167,33 +139,21 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
           // buffer next query — AF is not on the allocation-free target
           // path since it rebuilds a full Graph per query anyway.)
         }
-        cpu_ms += sw.ElapsedMs();
+        run.cpu_ms += sw.ElapsedMs();
       },
       options.max_repair_cycles, &s.full_cycle);
 
   device::Stopwatch sw;
   // Rebuild the graph; CSR layout matches the server's (same edges, same
   // per-node sort order).
-  auto built = graph::Graph::Build(std::move(coords), edges);
+  auto built = graph::Graph::Build(std::move(coords), s.edges);
   if (!built.ok() || !header_ok) {
     // Without splits there is no region mapping; ArcFlag cannot run.
-    metrics.tuning_packets = session.tuned_packets();
-    metrics.latency_packets = session.latency_packets();
-    metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-    metrics.peak_memory_bytes = memory.peak();
-    metrics.memory_exceeded = memory.exceeded();
-    metrics.cpu_ms = cpu_ms + sw.ElapsedMs();
-    metrics.cache_hits = s.session.query_hits();
-    metrics.warm = metrics.cache_hits > 0;
-    metrics.ok = false;
-    return metrics;
+    run.cpu_ms += sw.ElapsedMs();
+    return run.Finish(graph::kInfDist, false);
   }
   graph::Graph gr = std::move(built).value();
-  memory.Charge(gr.MemoryBytes());
+  run.memory.Charge(gr.MemoryBytes());
 
   auto kd = partition::KdTreePartitioner::FromSplits(splits);
   std::vector<graph::RegionId> node_region(gr.num_nodes());
@@ -203,7 +163,7 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
 
   algo::ArcFlagIndex idx = algo::ArcFlagIndex::MakeEmpty(
       gr.num_arcs(), num_regions_, std::move(node_region));
-  memory.Charge(idx.MemoryBytes());
+  run.memory.Charge(idx.MemoryBytes());
   const size_t bytes_per_arc = 2 * static_cast<size_t>(num_regions_);
   for (const auto& chunk : flag_chunks) {
     const size_t arcs_in_chunk = chunk.bytes.size() / bytes_per_arc;
@@ -227,23 +187,8 @@ device::QueryMetrics ArcFlagOnAir::RunQuery(
 
   size_t settled = 0;
   graph::Path path = idx.Query(gr, query.source, query.target, &settled);
-  cpu_ms += sw.ElapsedMs();
-
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = path.dist;
-  metrics.ok = receive_status.ok() && path.found();
-  return metrics;
+  run.cpu_ms += sw.ElapsedMs();
+  return run.Finish(path.dist, receive_status.ok() && path.found());
 }
 
 }  // namespace airindex::core

@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "algo/dijkstra.h"
 #include "broadcast/interleave.h"
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/partial_graph.h"
-#include "core/query_scratch.h"
 #include "core/region_data.h"
 #include "core/repair.h"
 #include "core/super_edge.h"
-#include "device/memory_tracker.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -221,17 +219,9 @@ Result<std::unique_ptr<EbSystem>> EbSystem::BuildFromPrecompute(
 device::QueryMetrics EbSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  QueryScratch& s = run.scratch();
   const uint32_t total = cycle_.total_packets();
-  double cpu_ms = 0.0;
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
-  s.session.BeginQueryStats();
   const bool cache_on = s.session.Ready(channel);
 
   // --- 1. Find and receive the next index copy (tuning in right at an
@@ -247,21 +237,21 @@ device::QueryMetrics EbSystem::RunQuery(
   } else {
     bool found = false;
     for (int attempts = 0; attempts < 64 && !found; ++attempts) {
-      auto view = session.ReceiveNext();
+      auto view = run.session.ReceiveNext();
       if (!view.has_value()) continue;
       found = true;
       if (view->next_index_offset == 0 && view->seq == 0) {
         index_start = view->cycle_pos;
-        broadcast::CompleteSegmentFrom(session, *view, index_seg);
+        broadcast::CompleteSegmentFrom(run.session, *view, index_seg);
       } else {
-        index_start = broadcast::NextIndexTarget(session, *view);
-        broadcast::ReceiveSegmentAt(session, index_start, index_seg);
+        index_start = broadcast::NextIndexTarget(run.session, *view);
+        broadcast::ReceiveSegmentAt(run.session, index_start, index_seg);
       }
     }
-    if (!found) return metrics;  // channel effectively dead
+    if (!found) return run.metrics;  // channel effectively dead
     if (cache_on) s.session.StoreIndex(index_start, *index_seg);
   }
-  memory.Charge(index_seg->payload.size());
+  run.memory.Charge(index_seg->payload.size());
 
   // --- 2. Make sure the needed index bytes arrived (§6.2) ---------------
   // Region mapping first: header + splits live at the payload front; the
@@ -278,7 +268,7 @@ device::QueryMetrics EbSystem::RunQuery(
       auto decoded = EbIndex::Decode(index_seg->payload);
       if (decoded.ok() && !decoded->copy_starts.empty()) {
         const auto& copies = decoded->copy_starts;
-        const uint32_t cur = session.cycle_pos();
+        const uint32_t cur = run.session.cycle_pos();
         uint32_t best = copies.front();
         uint32_t best_ahead = UINT32_MAX;
         for (uint32_t c : copies) {
@@ -293,7 +283,7 @@ device::QueryMetrics EbSystem::RunQuery(
         }
         repair_start = best;
       }
-      RepairIndexPackets(session, repair_start, missing, index_seg);
+      RepairIndexPackets(run.session, repair_start, missing, index_seg);
     }
     return MissingNeededPackets(*index_seg, ranges).empty();
   };
@@ -301,33 +291,33 @@ device::QueryMetrics EbSystem::RunQuery(
   if (!ensure_ranges({{0, index_seg->payload.size() < 6
                               ? index_seg->payload.size()
                               : 6}})) {
-    return metrics;
+    return run.metrics;
   }
   const uint32_t R =
       index_seg->payload.size() >= 2 ? GetU16(index_seg->payload.data()) : 0;
-  if (R < 2) return metrics;
+  if (R < 2) return run.metrics;
   // Header + splits.
   if (!ensure_ranges({{0, 6 + (static_cast<size_t>(R) - 1) * 8}})) {
-    return metrics;
+    return run.metrics;
   }
 
   device::Stopwatch sw_map;
   if (!EbIndex::Decode(index_seg->payload, &s.eb_index).ok()) {
-    return metrics;
+    return run.metrics;
   }
   auto kd = partition::KdTreePartitioner::FromSplits(s.eb_index.splits);
-  if (!kd.ok()) return metrics;
+  if (!kd.ok()) return run.metrics;
   const graph::RegionId rs = kd->RegionOf(query.source_coord);
   const graph::RegionId rt = kd->RegionOf(query.target_coord);
-  cpu_ms += sw_map.ElapsedMs();
+  run.cpu_ms += sw_map.ElapsedMs();
 
-  if (!ensure_ranges(EbIndex::NeededByteRanges(R, rs, rt))) return metrics;
+  if (!ensure_ranges(EbIndex::NeededByteRanges(R, rs, rt))) return run.metrics;
 
   device::Stopwatch sw_prune;
   // Re-decode: ensure_ranges may have repaired matrix bytes since the
   // header decode above. The scratch index's storage is reused.
   if (!EbIndex::Decode(index_seg->payload, &s.eb_index).ok()) {
-    return metrics;
+    return run.metrics;
   }
   // Persist any bytes the repair passes filled in, so the next query of
   // the session starts from the most complete copy seen so far.
@@ -350,12 +340,12 @@ device::QueryMetrics EbSystem::RunQuery(
       needed.push_back(r);
     }
   }
-  cpu_ms += sw_prune.ElapsedMs();
+  run.cpu_ms += sw_prune.ElapsedMs();
 
   // --- 4. Receive needed regions in broadcast order ---------------------
   std::sort(needed.begin(), needed.end(),
             [&](graph::RegionId a, graph::RegionId b) {
-              const uint32_t cur = session.cycle_pos();
+              const uint32_t cur = run.session.cycle_pos();
               auto ahead = [&](graph::RegionId r) {
                 const uint32_t st = index.dir[r].cross_start;
                 return st >= cur ? st - cur : st + total - cur;
@@ -385,12 +375,12 @@ device::QueryMetrics EbSystem::RunQuery(
       }
       const size_t decoded =
           region.records.size() * 24 + region.border.size() * 4;
-      memory.Charge(decoded);
+      run.memory.Charge(decoded);
       super.AddRegion(region);
-      memory.Release(decoded);
-      memory.Release(super_mem);
+      run.memory.Release(decoded);
+      run.memory.Release(super_mem);
       super_mem = super.MemoryBytes();
-      memory.Charge(super_mem);
+      run.memory.Charge(super_mem);
     } else {
       // Allocation-free path: validate (all-or-nothing, like the old
       // wholesale decode) and stream records straight into the pool.
@@ -411,12 +401,12 @@ device::QueryMetrics EbSystem::RunQuery(
         auto local_cursor = local_view.records();
         while (local_cursor.Next(&s.record)) pg.AddRecord(s.record);
       }
-      memory.Charge(pg.MemoryBytes() - before);
+      run.memory.Charge(pg.MemoryBytes() - before);
     }
-    memory.Release(cross.payload.size());
-    if (has_local) memory.Release(local->payload.size());
-    ++metrics.regions_received;
-    cpu_ms += sw.ElapsedMs();
+    run.memory.Release(cross.payload.size());
+    if (has_local) run.memory.Release(local->payload.size());
+    ++run.metrics.regions_received;
+    run.cpu_ms += sw.ElapsedMs();
   };
 
   // One pass over the cycle collects every needed region; segments with
@@ -439,9 +429,9 @@ device::QueryMetrics EbSystem::RunQuery(
     if (cross_cached) {
       s.session.CountHit();
     } else {
-      broadcast::ReceiveSegmentAt(session, d.cross_start, cross);
+      broadcast::ReceiveSegmentAt(run.session, d.cross_start, cross);
     }
-    memory.Charge(cross->payload.size());
+    run.memory.Charge(cross->payload.size());
     const bool want_local =
         d.local_packets > 0 &&
         (r == rs || r == rt || !options.cross_border_opt);
@@ -453,9 +443,9 @@ device::QueryMetrics EbSystem::RunQuery(
       if (local_cached) {
         s.session.CountHit();
       } else {
-        broadcast::ReceiveSegmentAt(session, d.local_start, local);
+        broadcast::ReceiveSegmentAt(run.session, d.local_start, local);
       }
-      memory.Charge(local->payload.size());
+      run.memory.Charge(local->payload.size());
     }
     if (cross->complete && (!want_local || local->complete)) {
       if (cache_on && !cross_cached) s.session.Store(d.cross_start, *cross);
@@ -480,7 +470,7 @@ device::QueryMetrics EbSystem::RunQuery(
         pending.push_back({st.local_start, st.local});
       }
     }
-    RepairAllSegments(session, pending, options.max_repair_cycles);
+    RepairAllSegments(run.session, pending, options.max_repair_cycles);
     for (auto& st : stash) {
       if (cache_on) {
         // Store() keeps only segments the repairs completed.
@@ -501,23 +491,9 @@ device::QueryMetrics EbSystem::RunQuery(
                          KnownEdgeFilter{&pg}, s.search);
     dist = s.search.DistTo(query.target);
   }
-  cpu_ms += sw_search.ElapsedMs();
+  run.cpu_ms += sw_search.ElapsedMs();
 
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = dist;
-  metrics.ok = dist != graph::kInfDist;
-  return metrics;
+  return run.Finish(dist, dist != graph::kInfDist);
 }
 
 }  // namespace airindex::core

@@ -2,13 +2,11 @@
 
 #include <bit>
 #include <chrono>
-#include <optional>
 
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
-#include "core/query_scratch.h"
-#include "device/memory_tracker.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -77,54 +75,25 @@ Result<std::unique_ptr<HiTiOnAir>> HiTiOnAir::Build(const graph::Graph& g,
 device::QueryMetrics HiTiOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  QueryScratch& s = run.scratch();
 
   // coords/subs are moved into the rebuilt Graph / HiTiIndex below, so
   // they cannot be pooled; the edge list can.
   std::vector<graph::Point> coords;
-  std::vector<graph::EdgeTriplet>& edges = s.edges;
   std::vector<double> splits;
   std::vector<algo::HiTiIndex::SubgraphInfo> subs(2 * num_regions_);
   bool header_ok = false;
-  double cpu_ms = 0.0;
-  s.session.BeginQueryStats();
 
   Status receive_status = ReceiveFullCycleCached(
-      session, memory, &s.session,
+      run.session, run.memory, &s.session,
       [](const broadcast::ReceivedSegment&) {
         return true;  // the index must be complete to be usable
       },
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          const bool valid = MemoValidate(s.decode_cache, seg, [&] {
-            return broadcast::ValidateNodeRecords(seg.payload, encoding_)
-                .ok();
-          });
-          if (valid) {
-            size_t added = 0;
-            size_t record_count = 0;
-            broadcast::NodeRecordCursor cursor(seg.payload, encoding_);
-            while (cursor.Next(&s.record)) {
-              ++record_count;
-              if (s.record.id >= coords.size()) {
-                coords.resize(s.record.id + 1);
-              }
-              coords[s.record.id] = s.record.coord;
-              for (const auto& arc : s.record.arcs) {
-                edges.push_back({s.record.id, arc.to, arc.weight});
-                ++added;
-              }
-            }
-            memory.Charge(added * 12 + record_count * 20);
-          }
+          run.IngestEdges(seg, encoding_, coords);
         } else if (seg.segment_id == kHeaderSegment) {
           if (seg.complete && seg.payload.size() >= 6) {
             ByteReader reader(seg.payload);
@@ -134,7 +103,7 @@ device::QueryMetrics HiTiOnAir::RunQuery(
               splits.push_back(std::bit_cast<double>(reader.ReadU64()));
             }
             header_ok = true;
-            memory.Charge(splits.size() * 8);
+            run.memory.Charge(splits.size() * 8);
           }
         } else if (seg.segment_id < subs.size()) {
           ByteReader reader(seg.payload);
@@ -154,20 +123,20 @@ device::QueryMetrics HiTiOnAir::RunQuery(
             for (size_t i = 0; i < static_cast<size_t>(nb) * nb; ++i) {
               sub.next_hop.push_back(reader.ReadU32());
             }
-            memory.Charge(nb * 4 + static_cast<size_t>(nb) * nb * 12);
+            run.memory.Charge(nb * 4 + static_cast<size_t>(nb) * nb * 12);
           }
         }
-        memory.Release(seg.payload.size());
-        cpu_ms += sw.ElapsedMs();
+        run.memory.Release(seg.payload.size());
+        run.cpu_ms += sw.ElapsedMs();
       },
       options.max_repair_cycles, &s.full_cycle);
 
   device::Stopwatch sw;
   graph::Dist dist = graph::kInfDist;
-  auto built = graph::Graph::Build(std::move(coords), edges);
+  auto built = graph::Graph::Build(std::move(coords), s.edges);
   if (built.ok() && header_ok) {
     graph::Graph gr = std::move(built).value();
-    memory.Charge(gr.MemoryBytes());
+    run.memory.Charge(gr.MemoryBytes());
     auto kd = partition::KdTreePartitioner::FromSplits(splits);
     if (kd.ok()) {
       algo::HiTiIndex idx = algo::HiTiIndex::FromTables(
@@ -176,23 +145,8 @@ device::QueryMetrics HiTiOnAir::RunQuery(
       dist = idx.QueryDistance(gr, query.source, query.target, &settled);
     }
   }
-  cpu_ms += sw.ElapsedMs();
-
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = dist;
-  metrics.ok = receive_status.ok() && dist != graph::kInfDist;
-  return metrics;
+  run.cpu_ms += sw.ElapsedMs();
+  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
 }
 
 }  // namespace airindex::core

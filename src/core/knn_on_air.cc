@@ -4,10 +4,10 @@
 #include <deque>
 
 #include "algo/dijkstra.h"
+#include "core/client_run.h"
 #include "core/partial_graph.h"
 #include "core/region_data.h"
 #include "core/repair.h"
-#include "device/memory_tracker.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -22,11 +22,9 @@ KnnResult RunKnnQuery(const EbSystem& system,
     result.metrics.ok = true;
     return result;
   }
-  device::MemoryTracker memory(options.heap_bytes);
   const broadcast::BroadcastCycle& cycle = system.cycle();
-  broadcast::ClientSession session(&channel,
-                                   TuneInPosition(cycle, query.tune_phase));
-  double cpu_ms = 0.0;
+  ClientRun run(channel, TuneInPosition(cycle, query.tune_phase), options,
+                /*scratch=*/nullptr);
 
   // Receive the next index copy.
   uint32_t index_start = 0;
@@ -34,25 +32,25 @@ KnnResult RunKnnQuery(const EbSystem& system,
   {
     bool found = false;
     for (int attempts = 0; attempts < 64 && !found; ++attempts) {
-      auto view = session.ReceiveNext();
+      auto view = run.session.ReceiveNext();
       if (!view.has_value()) continue;
       found = true;
       if (view->next_index_offset == 0 && view->seq == 0) {
         index_start = view->cycle_pos;
-        index_seg = broadcast::CompleteSegmentFrom(session, *view);
+        index_seg = broadcast::CompleteSegmentFrom(run.session, *view);
       } else {
-        index_start = broadcast::NextIndexTarget(session, *view);
-        index_seg = ReceiveSegmentAt(session, index_start);
+        index_start = broadcast::NextIndexTarget(run.session, *view);
+        index_seg = ReceiveSegmentAt(run.session, index_start);
       }
     }
     if (!found) return result;
   }
   if (!index_seg.complete &&
-      !RepairSegment(session, index_start, &index_seg,
+      !RepairSegment(run.session, index_start, &index_seg,
                      options.max_repair_cycles)) {
     return result;
   }
-  memory.Charge(index_seg.payload.size());
+  run.memory.Charge(index_seg.payload.size());
 
   device::Stopwatch sw_setup;
   auto index_or = EbIndex::Decode(index_seg.payload);
@@ -77,7 +75,7 @@ KnnResult RunKnnQuery(const EbSystem& system,
     if (p >= is_poi.size()) is_poi.resize(p + 1, 0);
     is_poi[p] = 1;
   }
-  cpu_ms += sw_setup.ElapsedMs();
+  run.cpu_ms += sw_setup.ElapsedMs();
 
   PartialGraph pg;
   auto receive_region = [&](graph::RegionId r) {
@@ -86,12 +84,12 @@ KnnResult RunKnnQuery(const EbSystem& system,
     std::vector<PendingRepair> pending;
     for (int part = 0; part < (d.local_packets > 0 ? 2 : 1); ++part) {
       const uint32_t start = part == 0 ? d.cross_start : d.local_start;
-      segs.push_back(ReceiveSegmentAt(session, start));
-      memory.Charge(segs.back().payload.size());
+      segs.push_back(ReceiveSegmentAt(run.session, start));
+      run.memory.Charge(segs.back().payload.size());
       if (!segs.back().complete) pending.push_back({start, &segs.back()});
     }
     if (!pending.empty()) {
-      RepairAllSegments(session, pending, options.max_repair_cycles);
+      RepairAllSegments(run.session, pending, options.max_repair_cycles);
     }
     device::Stopwatch sw;
     for (auto& seg : segs) {
@@ -99,12 +97,12 @@ KnnResult RunKnnQuery(const EbSystem& system,
       if (data.ok()) {
         const size_t before = pg.MemoryBytes();
         for (const auto& rec : data->records) pg.AddRecord(rec);
-        memory.Charge(pg.MemoryBytes() - before);
+        run.memory.Charge(pg.MemoryBytes() - before);
       }
-      memory.Release(seg.payload.size());
+      run.memory.Release(seg.payload.size());
     }
-    ++result.metrics.regions_received;
-    cpu_ms += sw.ElapsedMs();
+    ++run.metrics.regions_received;
+    run.cpu_ms += sw.ElapsedMs();
   };
 
   // Incremental expansion: receive the next-closest region, re-evaluate
@@ -125,7 +123,7 @@ KnnResult RunKnnQuery(const EbSystem& system,
     if (found.size() > query.k) found.resize(query.k);
     result.neighbors.clear();
     for (auto [d, v] : found) result.neighbors.emplace_back(v, d);
-    cpu_ms += sw.ElapsedMs();
+    run.cpu_ms += sw.ElapsedMs();
     return found.size() == query.k ? found.back().first : graph::kInfDist;
   };
 
@@ -136,17 +134,7 @@ KnnResult RunKnnQuery(const EbSystem& system,
     bound = kth_best();
   }
 
-  result.metrics.tuning_packets = session.tuned_packets();
-  result.metrics.latency_packets = session.latency_packets();
-  result.metrics.wait_packets = session.wait_packets();
-  result.metrics.corrupted_packets = session.corrupted_packets();
-  result.metrics.fec_recovered = session.fec_recovered();
-  result.metrics.wait_slots = session.wait_slots();
-  result.metrics.latency_slots = session.latency_slots();
-  result.metrics.peak_memory_bytes = memory.peak();
-  result.metrics.memory_exceeded = memory.exceeded();
-  result.metrics.cpu_ms = cpu_ms;
-  result.metrics.ok = true;
+  result.metrics = run.Finish(graph::kInfDist, /*ok=*/true);
   return result;
 }
 

@@ -1,16 +1,14 @@
 #include "core/nr.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "algo/dijkstra.h"
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/partial_graph.h"
-#include "core/query_scratch.h"
 #include "core/region_data.h"
 #include "core/repair.h"
 #include "core/super_edge.h"
-#include "device/memory_tracker.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -183,17 +181,9 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
 device::QueryMetrics NrSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  QueryScratch& s = run.scratch();
   const uint32_t total = cycle_.total_packets();
-  double cpu_ms = 0.0;
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
-  s.session.BeginQueryStats();
   const bool cache_on = s.session.Ready(channel);
 
   // Serves a segment from the session cache when possible; otherwise
@@ -205,7 +195,7 @@ device::QueryMetrics NrSystem::RunQuery(
       s.session.CountHit();
       return;
     }
-    broadcast::ReceiveSegmentAt(session, start, out);
+    broadcast::ReceiveSegmentAt(run.session, start, out);
     if (cache_on) s.session.Store(start, *out);
   };
 
@@ -214,16 +204,16 @@ device::QueryMetrics NrSystem::RunQuery(
   uint32_t idx_start = 0;
   auto receive_some_index = [&](ReceivedSegment* out, bool* ok) {
     for (int attempts = 0; attempts < 256; ++attempts) {
-      auto view = session.ReceiveNext();
+      auto view = run.session.ReceiveNext();
       if (!view.has_value()) continue;
       *ok = true;
       if (view->next_index_offset == 0 && view->seq == 0) {
         idx_start = view->cycle_pos;
-        broadcast::CompleteSegmentFrom(session, *view, out);
+        broadcast::CompleteSegmentFrom(run.session, *view, out);
         return;
       }
-      idx_start = broadcast::NextIndexTarget(session, *view);
-      broadcast::ReceiveSegmentAt(session, idx_start, out);
+      idx_start = broadcast::NextIndexTarget(run.session, *view);
+      broadcast::ReceiveSegmentAt(run.session, idx_start, out);
       return;
     }
     *ok = false;
@@ -263,13 +253,13 @@ device::QueryMetrics NrSystem::RunQuery(
         }
         const size_t decoded =
             region.records.size() * 24 + region.border.size() * 4;
-        memory.Charge(decoded);
+        run.memory.Charge(decoded);
         super.AddRegion(region);
-        memory.Release(decoded);
-        memory.Release(super_mem);
+        run.memory.Release(decoded);
+        run.memory.Release(super_mem);
         super_mem = super.MemoryBytes();
-        memory.Charge(super_mem);
-        ++metrics.regions_received;
+        run.memory.Charge(super_mem);
+        ++run.metrics.regions_received;
       }
     } else {
       // Allocation-free path: validate (all-or-nothing, like the old
@@ -291,13 +281,13 @@ device::QueryMetrics NrSystem::RunQuery(
           auto local_cursor = local_view.records();
           while (local_cursor.Next(&s.record)) pg.AddRecord(s.record);
         }
-        memory.Charge(pg.MemoryBytes() - before);
-        ++metrics.regions_received;
+        run.memory.Charge(pg.MemoryBytes() - before);
+        ++run.metrics.regions_received;
       }
     }
-    memory.Release(cross.payload.size());
-    if (has_local) memory.Release(local->payload.size());
-    cpu_ms += sw.ElapsedMs();
+    run.memory.Release(cross.payload.size());
+    if (has_local) run.memory.Release(local->payload.size());
+    run.cpu_ms += sw.ElapsedMs();
   };
 
   // --- 2. Chain through local indexes (Algorithm 2 + §6.2) --------------
@@ -322,9 +312,9 @@ device::QueryMetrics NrSystem::RunQuery(
   } else {
     receive_some_index(idx_seg, &found);
   }
-  if (!found) return metrics;
+  if (!found) return run.metrics;
   if (!index_charged) {
-    memory.Charge(idx_seg->payload.size());
+    run.memory.Charge(idx_seg->payload.size());
     index_charged = true;
   }
 
@@ -344,15 +334,15 @@ device::QueryMetrics NrSystem::RunQuery(
       if (!header_ok) {
         bool ok = false;
         receive_some_index(idx_seg, &ok);
-        if (!ok) return metrics;
+        if (!ok) return run.metrics;
         continue;
       }
       device::Stopwatch sw_map;
       if (!NrIndex::Decode(idx_seg->payload, &s.nr_index).ok()) {
-        return metrics;
+        return run.metrics;
       }
       auto kd = partition::KdTreePartitioner::FromSplits(s.nr_index.splits);
-      if (!kd.ok()) return metrics;
+      if (!kd.ok()) return run.metrics;
       rs = kd->RegionOf(query.source_coord);
       rt = kd->RegionOf(query.target_coord);
       R = reg_count;
@@ -363,7 +353,7 @@ device::QueryMetrics NrSystem::RunQuery(
       }
       first_index_id = static_cast<int>(s.nr_index.region_id);
       expected_id = first_index_id;
-      cpu_ms += sw_map.ElapsedMs();
+      run.cpu_ms += sw_map.ElapsedMs();
     } else if (expected_id == first_index_id && progressed) {
       break;  // wrapped around the whole cycle (Algorithm 2 guard)
     }
@@ -380,7 +370,7 @@ device::QueryMetrics NrSystem::RunQuery(
     if (cell_ok) {
       const graph::RegionId next_r =
           idx_seg->payload[NrIndex::CellRange(R, rs, rt).first];
-      if (next_r >= R) return metrics;
+      if (next_r >= R) return run.metrics;
       if (received[next_r]) break;  // client already possesses R_nxt
       if (RangeOkClamped(*idx_seg, NrIndex::PositionRange(R, next_r))) {
         region_id = next_r;
@@ -400,7 +390,7 @@ device::QueryMetrics NrSystem::RunQuery(
       } else {
         // Even the adjacent geometry is gone: re-listen to the missing
         // packets of this very index next cycle and try again.
-        RepairSegment(session, idx_start, idx_seg, 1);
+        RepairSegment(run.session, idx_start, idx_seg, 1);
         continue;
       }
       if (received[region_id]) {
@@ -421,14 +411,14 @@ device::QueryMetrics NrSystem::RunQuery(
     // (§6.2 — one repair sweep per cycle fixes everything that was lost).
     ReceivedSegment* cross = s.segments.Acquire();
     fetch_segment(geom.cross_start, cross);
-    memory.Charge(cross->payload.size());
+    run.memory.Charge(cross->payload.size());
     const bool want_local =
         geom.local_packets > 0 && (region_id == rs || region_id == rt);
     ReceivedSegment* local = nullptr;
     if (want_local) {
       local = s.segments.Acquire();
       fetch_segment((geom.cross_start + geom.cross_packets) % total, local);
-      memory.Charge(local->payload.size());
+      run.memory.Charge(local->payload.size());
     }
     const uint32_t next_idx_start =
         (geom.cross_start + geom.cross_packets + geom.local_packets) % total;
@@ -462,7 +452,7 @@ device::QueryMetrics NrSystem::RunQuery(
         pending.push_back({st.local_start, st.local});
       }
     }
-    RepairAllSegments(session, pending, options.max_repair_cycles);
+    RepairAllSegments(run.session, pending, options.max_repair_cycles);
     for (auto& st : stash) {
       if (cache_on) {
         // Store() keeps only segments the repairs completed.
@@ -485,23 +475,9 @@ device::QueryMetrics NrSystem::RunQuery(
       dist = s.search.DistTo(query.target);
     }
   }
-  cpu_ms += sw_search.ElapsedMs();
+  run.cpu_ms += sw_search.ElapsedMs();
 
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = dist;
-  metrics.ok = dist != graph::kInfDist;
-  return metrics;
+  return run.Finish(dist, dist != graph::kInfDist);
 }
 
 }  // namespace airindex::core

@@ -5,10 +5,10 @@
 
 #include "algo/dijkstra.h"
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/partial_graph.h"
 #include "core/region_data.h"
 #include "core/repair.h"
-#include "device/memory_tracker.h"
 #include "partition/kd_tree.h"
 
 namespace airindex::core {
@@ -18,12 +18,10 @@ RangeResult RunRangeQuery(const EbSystem& system,
                           const RangeQuery& query,
                           const ClientOptions& options) {
   RangeResult result;
-  device::MemoryTracker memory(options.heap_bytes);
   const broadcast::BroadcastCycle& cycle = system.cycle();
-  broadcast::ClientSession session(&channel,
-                                   TuneInPosition(cycle, query.tune_phase));
+  ClientRun run(channel, TuneInPosition(cycle, query.tune_phase), options,
+                /*scratch=*/nullptr);
   const uint32_t total = cycle.total_packets();
-  double cpu_ms = 0.0;
 
   // Receive the next index copy (same protocol as the shortest-path
   // client; simple whole-copy repair is enough here).
@@ -32,25 +30,25 @@ RangeResult RunRangeQuery(const EbSystem& system,
   {
     bool found = false;
     for (int attempts = 0; attempts < 64 && !found; ++attempts) {
-      auto view = session.ReceiveNext();
+      auto view = run.session.ReceiveNext();
       if (!view.has_value()) continue;
       found = true;
       if (view->next_index_offset == 0 && view->seq == 0) {
         index_start = view->cycle_pos;
-        index_seg = broadcast::CompleteSegmentFrom(session, *view);
+        index_seg = broadcast::CompleteSegmentFrom(run.session, *view);
       } else {
-        index_start = broadcast::NextIndexTarget(session, *view);
-        index_seg = ReceiveSegmentAt(session, index_start);
+        index_start = broadcast::NextIndexTarget(run.session, *view);
+        index_seg = ReceiveSegmentAt(run.session, index_start);
       }
     }
     if (!found) return result;
   }
   if (!index_seg.complete &&
-      !RepairSegment(session, index_start, &index_seg,
+      !RepairSegment(run.session, index_start, &index_seg,
                      options.max_repair_cycles)) {
     return result;
   }
-  memory.Charge(index_seg.payload.size());
+  run.memory.Charge(index_seg.payload.size());
 
   device::Stopwatch sw_prune;
   auto index_or = EbIndex::Decode(index_seg.payload);
@@ -67,13 +65,13 @@ RangeResult RunRangeQuery(const EbSystem& system,
   for (graph::RegionId r = 0; r < R; ++r) {
     if (r == rs || index.MinDist(rs, r) <= query.radius) needed.push_back(r);
   }
-  cpu_ms += sw_prune.ElapsedMs();
+  run.cpu_ms += sw_prune.ElapsedMs();
 
   // Receive the needed regions (cross + local: results may be any node)
   // in broadcast order; batch-repair losses.
   std::sort(needed.begin(), needed.end(),
             [&](graph::RegionId a, graph::RegionId b) {
-              const uint32_t cur = session.cycle_pos();
+              const uint32_t cur = run.session.cycle_pos();
               auto ahead = [&](graph::RegionId r) {
                 const uint32_t s = index.dir[r].cross_start;
                 return s >= cur ? s - cur : s + total - cur;
@@ -90,19 +88,19 @@ RangeResult RunRangeQuery(const EbSystem& system,
     if (data.ok()) {
       const size_t before = pg.MemoryBytes();
       for (const auto& rec : data->records) pg.AddRecord(rec);
-      memory.Charge(pg.MemoryBytes() - before);
-      ++result.metrics.regions_received;
+      run.memory.Charge(pg.MemoryBytes() - before);
+      ++run.metrics.regions_received;
     }
-    memory.Release(seg.payload.size());
-    cpu_ms += sw.ElapsedMs();
+    run.memory.Release(seg.payload.size());
+    run.cpu_ms += sw.ElapsedMs();
   };
 
   for (graph::RegionId r : needed) {
     const EbIndex::RegionDir& d = index.dir[r];
     for (int part = 0; part < (d.local_packets > 0 ? 2 : 1); ++part) {
       const uint32_t start = part == 0 ? d.cross_start : d.local_start;
-      broadcast::ReceivedSegment seg = ReceiveSegmentAt(session, start);
-      memory.Charge(seg.payload.size());
+      broadcast::ReceivedSegment seg = ReceiveSegmentAt(run.session, start);
+      run.memory.Charge(seg.payload.size());
       if (seg.complete) {
         ingest(std::move(seg));
       } else {
@@ -112,7 +110,7 @@ RangeResult RunRangeQuery(const EbSystem& system,
     }
   }
   if (!pending.empty()) {
-    RepairAllSegments(session, pending, options.max_repair_cycles);
+    RepairAllSegments(run.session, pending, options.max_repair_cycles);
     for (auto& seg : stash) ingest(std::move(seg));
   }
 
@@ -132,19 +130,9 @@ RangeResult RunRangeQuery(const EbSystem& system,
               return a.second < b.second ||
                      (a.second == b.second && a.first < b.first);
             });
-  cpu_ms += sw_search.ElapsedMs();
+  run.cpu_ms += sw_search.ElapsedMs();
 
-  result.metrics.tuning_packets = session.tuned_packets();
-  result.metrics.latency_packets = session.latency_packets();
-  result.metrics.wait_packets = session.wait_packets();
-  result.metrics.corrupted_packets = session.corrupted_packets();
-  result.metrics.fec_recovered = session.fec_recovered();
-  result.metrics.wait_slots = session.wait_slots();
-  result.metrics.latency_slots = session.latency_slots();
-  result.metrics.peak_memory_bytes = memory.peak();
-  result.metrics.memory_exceeded = memory.exceeded();
-  result.metrics.cpu_ms = cpu_ms;
-  result.metrics.ok = true;
+  result.metrics = run.Finish(graph::kInfDist, /*ok=*/true);
   return result;
 }
 

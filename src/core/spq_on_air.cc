@@ -2,13 +2,11 @@
 
 #include <bit>
 #include <chrono>
-#include <optional>
 
 #include "common/byte_io.h"
+#include "core/client_run.h"
 #include "core/cycle_common.h"
 #include "core/full_cycle.h"
-#include "core/query_scratch.h"
-#include "device/memory_tracker.h"
 
 namespace airindex::core {
 namespace {
@@ -110,49 +108,23 @@ Result<std::unique_ptr<SpqOnAir>> SpqOnAir::Build(const graph::Graph& g,
 device::QueryMetrics SpqOnAir::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  device::QueryMetrics metrics;
-  device::MemoryTracker memory(options.heap_bytes);
-  broadcast::ClientSession session(&channel, StartPosition(channel, query));
-
-  std::optional<QueryScratch> local_scratch;
-  QueryScratch& s =
-      scratch != nullptr ? *scratch : local_scratch.emplace();
-  s.BeginQuery();
+  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  QueryScratch& s = run.scratch();
 
   // coords/trees are moved into the rebuilt Graph / SpqIndex below, so
   // they cannot be pooled; the edge list can.
   std::vector<graph::Point> coords(num_nodes_);
-  std::vector<graph::EdgeTriplet>& edges = s.edges;
   std::vector<algo::SpqIndex::Tree> trees(num_nodes_);
   double root[3] = {0, 0, 1};
   bool header_ok = false;
-  double cpu_ms = 0.0;
-  s.session.BeginQueryStats();
 
   Status receive_status = ReceiveFullCycleCached(
-      session, memory, &s.session,
+      run.session, run.memory, &s.session,
       [](const broadcast::ReceivedSegment&) { return true; },
       [&](broadcast::ReceivedSegment& seg) {
         device::Stopwatch sw;
         if (seg.type == broadcast::SegmentType::kNetworkData) {
-          const bool valid = MemoValidate(s.decode_cache, seg, [&] {
-            return broadcast::ValidateNodeRecords(seg.payload, encoding_)
-                .ok();
-          });
-          if (valid) {
-            size_t added = 0;
-            size_t record_count = 0;
-            broadcast::NodeRecordCursor cursor(seg.payload, encoding_);
-            while (cursor.Next(&s.record)) {
-              ++record_count;
-              coords[s.record.id] = s.record.coord;
-              for (const auto& arc : s.record.arcs) {
-                edges.push_back({s.record.id, arc.to, arc.weight});
-                ++added;
-              }
-            }
-            memory.Charge(added * 12 + record_count * 20);
-          }
+          run.IngestEdges(seg, encoding_, coords);
         } else if (seg.segment_id == kHeaderSegment) {
           if (seg.complete && seg.payload.size() >= 32) {
             root[0] = std::bit_cast<double>(GetU64(seg.payload.data()));
@@ -167,44 +139,29 @@ device::QueryMetrics SpqOnAir::RunQuery(
                ++v) {
             algo::SpqIndex::Tree tree;
             if (DecodeCellImpl(seg.payload, &pos, &tree) < 0) break;
-            memory.Charge(tree.nodes.size() *
-                          sizeof(algo::SpqIndex::QtNode));
+            run.memory.Charge(tree.nodes.size() *
+                              sizeof(algo::SpqIndex::QtNode));
             trees[v] = std::move(tree);
           }
         }
-        memory.Release(seg.payload.size());
-        cpu_ms += sw.ElapsedMs();
+        run.memory.Release(seg.payload.size());
+        run.cpu_ms += sw.ElapsedMs();
       },
       options.max_repair_cycles, &s.full_cycle);
 
   device::Stopwatch sw;
   graph::Dist dist = graph::kInfDist;
-  auto built = graph::Graph::Build(std::move(coords), edges);
+  auto built = graph::Graph::Build(std::move(coords), s.edges);
   if (built.ok() && header_ok) {
     graph::Graph gr = std::move(built).value();
-    memory.Charge(gr.MemoryBytes());
+    run.memory.Charge(gr.MemoryBytes());
     algo::SpqIndex idx = algo::SpqIndex::FromParts(root[0], root[1], root[2],
                                                    std::move(trees));
     graph::Path path = idx.Query(gr, query.source, query.target);
     dist = path.dist;
   }
-  cpu_ms += sw.ElapsedMs();
-
-  metrics.tuning_packets = session.tuned_packets();
-  metrics.latency_packets = session.latency_packets();
-  metrics.wait_packets = session.wait_packets();
-  metrics.corrupted_packets = session.corrupted_packets();
-  metrics.fec_recovered = session.fec_recovered();
-  metrics.wait_slots = session.wait_slots();
-  metrics.latency_slots = session.latency_slots();
-  metrics.peak_memory_bytes = memory.peak();
-  metrics.memory_exceeded = memory.exceeded();
-  metrics.cpu_ms = cpu_ms;
-  metrics.cache_hits = s.session.query_hits();
-  metrics.warm = metrics.cache_hits > 0;
-  metrics.distance = dist;
-  metrics.ok = receive_status.ok() && dist != graph::kInfDist;
-  return metrics;
+  run.cpu_ms += sw.ElapsedMs();
+  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
 }
 
 }  // namespace airindex::core
