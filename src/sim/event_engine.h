@@ -14,46 +14,21 @@
 
 namespace airindex::sim {
 
-/// Configuration of one event-engine run: the shared station (bitrate,
-/// loss, seed, sub-channel count) plus the client/device knobs shared with
-/// the batch engine.
-struct EventOptions {
-  /// Worker threads (0 = hardware concurrency). Results are bit-identical
-  /// for every thread count.
-  unsigned threads = 1;
-  /// Physical-channel loss model of the station.
-  broadcast::LossModel loss = broadcast::LossModel::None();
+/// Configuration of one event-engine run: the shared station (seed and
+/// sub-channel count) and the client sessions, on top of the options both
+/// engines share.
+struct EventOptions : EngineOptions {
   /// One seed for the whole station: unlike the batch engine's per-query
   /// streams, every client shares this loss realization.
   uint64_t station_seed = 0x10552;
   /// Logical sub-channels the station time-multiplexes (clients assigned
   /// round-robin by arrival ordinal — their interleave group).
   uint32_t subchannels = 1;
-  /// Station-side forward error correction (parity 0 = off).
-  broadcast::FecScheme fec = {};
-  core::ClientOptions client;
-  device::DeviceProfile profile = device::DeviceProfile::J2mePhone();
-  double bits_per_second = device::kBitrateStatic3G;
-  /// Zeroes the wall-clock-measured cpu_ms field (see SimOptions).
-  bool deterministic = false;
-  /// Min-of-N wall-time repetitions (see SimOptions::repeat).
-  unsigned repeat = 1;
-  /// Broadcast-disk scheduling of the station (see SchedulePolicy). kStatic
-  /// plans one spec per system from `schedule_demand`; kOnline re-plans
-  /// every `replan_cycles` cycles from the destinations of the queries that
-  /// have arrived so far — the adopted spec sequence is a pure function of
-  /// the arrival order, so runs stay bit-identical across thread counts.
-  SchedulePolicy schedule;
-  /// Per-node destination demand for the static planner (empty = uniform).
-  std::vector<double> schedule_demand;
-  /// Wire encoding of the cycles' payloads (node-to-group decoding).
-  broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy;
   /// Client sessions: consecutive runs of `session.queries` workload
   /// queries are posed by one persistent client whose SessionCache
   /// (budgeted by `cache_bytes`) carries decoded segments across them.
-  /// queries = 1 with cache_bytes = 0 is the historical one-shot fleet —
-  /// that path is byte-identical to pre-session builds. Ignored by the
-  /// kOnline scheduling path (callers validate; see scenario.cc).
+  /// queries = 1 with cache_bytes = 0 is the one-shot fleet. Ignored by
+  /// the kOnline scheduling path (callers validate; see scenario.cc).
   workload::WorkloadSpec::SessionSpec session;
   /// Per-client session cache budget in payload bytes (0 = caching off).
   size_t cache_bytes = 0;

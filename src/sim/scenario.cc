@@ -263,21 +263,23 @@ Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s,
             ? gr.spec.loss_seed
             : DeriveSeed(s.seed, kLossSalt, engine == "event" ? 0 : gi);
     gr.loss_seed = channel_seed;
+    EngineOptions common;
+    common.threads = options_.threads;
+    common.repeat = options_.repeat;
+    common.loss = gr.spec.loss;
+    common.fec = gr.spec.fec;
+    common.client = gr.spec.client;
+    common.profile = profile;
+    common.bits_per_second = gr.spec.bits_per_second;
+    common.deterministic = options_.deterministic;
+    common.schedule = s.schedule;
+    common.schedule_demand = schedule_demand;
+    common.encoding = s.params.build.encoding;
     if (engine == "event") {
       EventOptions eo;
-      eo.threads = options_.threads;
-      eo.repeat = options_.repeat;
-      eo.loss = gr.spec.loss;
-      eo.fec = gr.spec.fec;
+      static_cast<EngineOptions&>(eo) = common;
       eo.station_seed = channel_seed;
       eo.subchannels = result.subchannels;
-      eo.client = gr.spec.client;
-      eo.profile = profile;
-      eo.bits_per_second = gr.spec.bits_per_second;
-      eo.deterministic = options_.deterministic;
-      eo.schedule = s.schedule;
-      eo.schedule_demand = schedule_demand;
-      eo.encoding = s.params.build.encoding;
       eo.session = wspec.session;
       eo.cache_bytes = s.cache_bytes;
       EventEngine event_engine(g, eo);
@@ -287,18 +289,8 @@ Result<ScenarioResult> ScenarioRunner::Run(const Scenario& s,
       }
     } else {
       SimOptions so;
-      so.threads = options_.threads;
-      so.repeat = options_.repeat;
-      so.loss = gr.spec.loss;
-      so.fec = gr.spec.fec;
+      static_cast<EngineOptions&>(so) = common;
       so.loss_seed = channel_seed;
-      so.client = gr.spec.client;
-      so.profile = profile;
-      so.bits_per_second = gr.spec.bits_per_second;
-      so.deterministic = options_.deterministic;
-      so.schedule = s.schedule;
-      so.schedule_demand = schedule_demand;
-      so.encoding = s.params.build.encoding;
       Simulator simulator(g, so);
       result.threads = simulator.effective_threads();
       for (const auto& sys : shared) {

@@ -18,18 +18,19 @@
 
 namespace airindex::sim {
 
-/// Configuration of one simulation batch: how many client threads to fan
-/// the workload across, the channel loss model, and the device the energy
-/// figures are computed for.
-struct SimOptions {
-  /// Worker threads the clients are spread over (0 = hardware concurrency).
+/// Configuration both engines share: how many client threads to fan the
+/// workload across, the channel loss model and FEC code, the client and
+/// the device the energy figures are computed for, wall-time repetitions,
+/// and the broadcast-disk schedule.
+struct EngineOptions {
+  /// Worker threads the clients are spread over (0 = hardware
+  /// concurrency). Results are bit-identical for every thread count.
   unsigned threads = 1;
   /// Channel loss model shared by every client (drop rate, fade bursts,
   /// and the per-bit corruption rate all live here).
   broadcast::LossModel loss = broadcast::LossModel::None();
-  /// Base seed of the per-query loss streams (see QueryLossSeed).
-  uint64_t loss_seed = 0x10552;
-  /// Station-side forward error correction applied to every channel.
+  /// Station-side forward error correction applied to every channel
+  /// (parity 0 = off).
   broadcast::FecScheme fec = {};
   /// Per-client device configuration.
   core::ClientOptions client;
@@ -51,9 +52,11 @@ struct SimOptions {
   /// Broadcast-disk scheduling of every station/channel. kFlat (default)
   /// keeps the historical timeline bit-identically; kStatic plans one
   /// square-root-rule spec per system from `schedule_demand`; kOnline is
-  /// the event engine's re-planning mode (rejected by the batch engine —
-  /// per-query private replays have no shared timeline to observe demand
-  /// on).
+  /// the event engine's re-planning mode: it re-plans every
+  /// `replan_cycles` cycles from the destinations of the queries that have
+  /// arrived so far, so the adopted spec sequence is a pure function of
+  /// the arrival order. The batch engine rejects kOnline — per-query
+  /// private replays have no shared timeline to observe demand on.
   SchedulePolicy schedule;
   /// Per-node destination demand the static planner weights groups by
   /// (workload::DestinationWeights of the run's spec; scenario runs merge
@@ -63,6 +66,12 @@ struct SimOptions {
   /// Wire encoding of the cycles' payloads (the planner decodes data
   /// segments to map nodes to interleave groups).
   broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy;
+};
+
+/// Configuration of one batch-engine run.
+struct SimOptions : EngineOptions {
+  /// Base seed of the per-query loss streams (see QueryLossSeed).
+  uint64_t loss_seed = 0x10552;
 };
 
 /// One system's outcome over a workload.

@@ -778,41 +778,34 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  const broadcast::FecScheme fec = broadcast::FecScheme::OfRate(fec_rate);
+  sim::EngineOptions common;
+  common.threads = threads;
+  common.repeat = repeat;
+  common.loss = broadcast::LossModel::Of(loss, burst, corrupt);
+  common.fec = broadcast::FecScheme::OfRate(fec_rate);
+  common.deterministic = deterministic;
+  common.schedule = schedule;
   // Static disk planning weights content by the run's analytic destination
   // distribution (uniform demand plans the flat timeline).
-  std::vector<double> schedule_demand;
   if (schedule.mode == sim::SchedulePolicy::Mode::kStatic) {
-    schedule_demand = workload::DestinationWeights(g->num_nodes(), wspec);
+    common.schedule_demand =
+        workload::DestinationWeights(g->num_nodes(), wspec);
   }
+  common.encoding = params.build.encoding;
   sim::BatchResult batch;
   if (engine == "event") {
     sim::EventOptions eo;
-    eo.threads = threads;
-    eo.repeat = repeat;
-    eo.loss = broadcast::LossModel::Of(loss, burst, corrupt);
-    eo.fec = fec;
+    static_cast<sim::EngineOptions&>(eo) = common;
     eo.station_seed = seed;
     eo.subchannels = subchannels;
-    eo.deterministic = deterministic;
-    eo.schedule = schedule;
-    eo.schedule_demand = schedule_demand;
-    eo.encoding = params.build.encoding;
     eo.session.queries = sessions;
     eo.cache_bytes = static_cast<size_t>(cache_bytes);
     sim::EventEngine event_engine(*g, eo);
     batch = event_engine.Run(system_ptrs, *w);
   } else {
     sim::SimOptions so;
-    so.threads = threads;
-    so.repeat = repeat;
-    so.loss = broadcast::LossModel::Of(loss, burst, corrupt);
-    so.fec = fec;
+    static_cast<sim::EngineOptions&>(so) = common;
     so.loss_seed = seed;
-    so.deterministic = deterministic;
-    so.schedule = schedule;
-    so.schedule_demand = schedule_demand;
-    so.encoding = params.build.encoding;
     sim::Simulator simulator(*g, so);
     batch = simulator.Run(system_ptrs, *w);
   }
