@@ -36,20 +36,20 @@ int main(int argc, char** argv) {
                                   opts.threads, opts.repeat);
   auto without_m = bench::RunQueries(*eb, g, w, opts.Loss(), opts.seed, no_opt,
                                      opts.threads, opts.repeat);
-  auto with_s = device::MetricsSummary::Of(with_m);
-  auto without_s = device::MetricsSummary::Of(without_m);
+  auto with_s = bench::Summarize(with_m);
+  auto without_s = bench::Summarize(without_m);
 
   std::printf("%-24s %12s %10s\n", "configuration", "tuning[pkt]",
               "mem[MB]");
   std::printf("%-24s %12.0f %10s\n", "EB with split",
-              with_s.avg_tuning_packets,
-              bench::Mb(with_s.avg_peak_memory_bytes).c_str());
+              with_s.tuning_packets.mean,
+              bench::Mb(with_s.peak_memory_bytes.mean).c_str());
   std::printf("%-24s %12.0f %10s\n", "EB without split",
-              without_s.avg_tuning_packets,
-              bench::Mb(without_s.avg_peak_memory_bytes).c_str());
+              without_s.tuning_packets.mean,
+              bench::Mb(without_s.peak_memory_bytes.mean).c_str());
   std::printf("tuning saved: %.1f%%\n",
-              100.0 * (1.0 - with_s.avg_tuning_packets /
-                                 without_s.avg_tuning_packets));
+              100.0 * (1.0 - with_s.tuning_packets.mean /
+                                 without_s.tuning_packets.mean));
   std::printf("\n# paper: the optimization reduces tuning time ~20%%.\n");
   return 0;
 }

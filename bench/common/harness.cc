@@ -38,6 +38,13 @@ std::vector<device::QueryMetrics> Select(
   return out;
 }
 
+sim::Aggregate Summarize(std::span<const device::QueryMetrics> metrics) {
+  return sim::Aggregate::Of(
+      "", metrics,
+      device::EnergyModel(device::DeviceProfile::J2mePhone(),
+                          device::kBitrateStatic3G));
+}
+
 graph::Graph LoadNetwork(const std::string& name, const BenchOptions& opts) {
   auto spec = graph::FindNetwork(name);
   if (!spec.ok()) {

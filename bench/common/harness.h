@@ -1,6 +1,7 @@
 #ifndef AIRINDEX_BENCH_COMMON_HARNESS_H_
 #define AIRINDEX_BENCH_COMMON_HARNESS_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "device/metrics.h"
 #include "graph/catalog.h"
 #include "graph/graph.h"
+#include "sim/aggregate.h"
 #include "sim/simulator.h"
 #include "workload/workload.h"
 
@@ -34,6 +36,10 @@ std::vector<device::QueryMetrics> RunQueries(
 std::vector<device::QueryMetrics> Select(
     const std::vector<device::QueryMetrics>& all,
     const std::vector<size_t>& indexes);
+
+/// Summary of per-query metrics (energy priced for the J2ME phone on the
+/// static-3G bitrate, the engine defaults).
+sim::Aggregate Summarize(std::span<const device::QueryMetrics> metrics);
 
 /// Generates the scaled replica of a catalog network, printing what was
 /// built.

@@ -1,9 +1,10 @@
 #include "common/options.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "common/flags.h"
 
 namespace airindex::bench {
 
@@ -18,38 +19,6 @@ namespace {
   std::exit(2);
 }
 
-/// Strict double parse of a --flag=value argument; the whole value must be
-/// a number (atof read "abc" as 0.0 and benchmarked the wrong config
-/// without a word). Aborts with the offending flag and usage on failure.
-double ParseDoubleFlag(const char* prog, const char* arg, size_t prefix) {
-  const char* value = arg + prefix;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "invalid value for %.*s: \"%s\"\n",
-                 static_cast<int>(prefix - 1), arg, value);
-    UsageExit(prog);
-  }
-  return v;
-}
-
-/// Strict unsigned parse. Rejects a leading sign: strtoull wraps "-1" to
-/// 2^64-1 instead of failing.
-uint64_t ParseUintFlag(const char* prog, const char* arg, size_t prefix) {
-  const char* value = arg + prefix;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (*value == '-' || *value == '+' || end == value || *end != '\0' ||
-      errno == ERANGE) {
-    std::fprintf(stderr, "invalid value for %.*s: \"%s\"\n",
-                 static_cast<int>(prefix - 1), arg, value);
-    UsageExit(prog);
-  }
-  return v;
-}
-
 }  // namespace
 
 size_t BenchOptions::ScaledHeapBytes() const {
@@ -61,33 +30,45 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    // Strict numeric values: a malformed one names the flag and aborts
+    // with the usage message.
+    auto double_value = [&](size_t prefix) {
+      double v = 0.0;
+      if (!ParseDoubleFlag(arg, prefix, &v)) UsageExit(argv[0]);
+      return v;
+    };
+    auto uint_value = [&](size_t prefix) {
+      uint64_t v = 0;
+      if (!ParseUintFlag(arg, prefix, &v)) UsageExit(argv[0]);
+      return v;
+    };
     if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opts.scale = ParseDoubleFlag(argv[0], arg, 8);
+      opts.scale = double_value(8);
     } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      opts.queries = static_cast<size_t>(ParseUintFlag(argv[0], arg, 10));
+      opts.queries = static_cast<size_t>(uint_value(10));
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opts.seed = ParseUintFlag(argv[0], arg, 7);
+      opts.seed = uint_value(7);
     } else if (std::strncmp(arg, "--loss=", 7) == 0) {
-      opts.loss = ParseDoubleFlag(argv[0], arg, 7);
+      opts.loss = double_value(7);
     } else if (std::strncmp(arg, "--burst=", 8) == 0) {
-      const uint64_t burst = ParseUintFlag(argv[0], arg, 8);
+      const uint64_t burst = uint_value(8);
       opts.burst = burst > 1 ? static_cast<uint32_t>(burst) : 1;
     } else if (std::strncmp(arg, "--corrupt=", 10) == 0) {
-      opts.corrupt = ParseDoubleFlag(argv[0], arg, 10);
+      opts.corrupt = double_value(10);
       if (!(opts.corrupt >= 0.0) || opts.corrupt >= 1.0) {
         std::fprintf(stderr, "--corrupt must be in [0, 1)\n");
         std::exit(2);
       }
     } else if (std::strncmp(arg, "--fec-rate=", 11) == 0) {
-      opts.fec_rate = ParseDoubleFlag(argv[0], arg, 11);
+      opts.fec_rate = double_value(11);
       if (!(opts.fec_rate >= 0.0) || opts.fec_rate > 1.0) {
         std::fprintf(stderr, "--fec-rate must be in [0, 1]\n");
         std::exit(2);
       }
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opts.threads = static_cast<unsigned>(ParseUintFlag(argv[0], arg, 10));
+      opts.threads = static_cast<unsigned>(uint_value(10));
     } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      const uint64_t repeat = ParseUintFlag(argv[0], arg, 9);
+      const uint64_t repeat = uint_value(9);
       opts.repeat = repeat > 1 ? static_cast<unsigned>(repeat) : 1;
     } else if (std::strcmp(arg, "--full") == 0) {
       opts.full = true;

@@ -55,19 +55,19 @@ int main(int argc, char** argv) {
       std::printf("%-22s", label);
       for (size_t mi = 0; mi < systems.size(); ++mi) {
         auto sel = bench::Select(per_method[mi], buckets[b]);
-        auto s = device::MetricsSummary::Of(sel);
+        auto s = bench::Summarize(sel);
         switch (panel) {
           case 0:
-            std::printf(" %10.0f", s.avg_tuning_packets);
+            std::printf(" %10.0f", s.tuning_packets.mean);
             break;
           case 1:
-            std::printf(" %10s", bench::Mb(s.avg_peak_memory_bytes).c_str());
+            std::printf(" %10s", bench::Mb(s.peak_memory_bytes.mean).c_str());
             break;
           case 2:
-            std::printf(" %10.0f", s.avg_latency_packets);
+            std::printf(" %10.0f", s.latency_packets.mean);
             break;
           case 3:
-            std::printf(" %10.2f", s.avg_cpu_ms);
+            std::printf(" %10.2f", s.cpu_ms.mean);
             break;
         }
       }

@@ -20,7 +20,7 @@ namespace {
 struct Row {
   std::string config;
   std::string method;
-  device::MetricsSummary summary;
+  sim::Aggregate summary;
 };
 
 }  // namespace
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     auto dj = registry.Get(g, "DJ").value();
     auto m = bench::RunQueries(*dj, g, w, opts.Loss(), opts.seed, {},
                                opts.threads, opts.repeat);
-    rows.push_back({"-", "DJ", device::MetricsSummary::Of(m)});
+    rows.push_back({"-", "DJ", bench::Summarize(m)});
   }
   for (int i = 0; i < 4; ++i) {
     char cfg[32];
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       auto sys = registry.Get(g, method, params).value();
       auto m = bench::RunQueries(*sys, g, w, opts.Loss(), opts.seed, {},
                                  opts.threads, opts.repeat);
-      rows.push_back({cfg, method, device::MetricsSummary::Of(m)});
+      rows.push_back({cfg, method, bench::Summarize(m)});
     }
   }
 
@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
               "tuning[pkt]", "mem[MB]", "latency[pkt]", "cpu[ms]");
   for (const auto& r : rows) {
     std::printf("%-10s %-6s %12.0f %10s %12.0f %10.2f\n", r.config.c_str(),
-                r.method.c_str(), r.summary.avg_tuning_packets,
-                bench::Mb(r.summary.avg_peak_memory_bytes).c_str(),
-                r.summary.avg_latency_packets, r.summary.avg_cpu_ms);
+                r.method.c_str(), r.summary.tuning_packets.mean,
+                bench::Mb(r.summary.peak_memory_bytes.mean).c_str(),
+                r.summary.latency_packets.mean, r.summary.cpu_ms.mean);
   }
   std::printf(
       "\n# paper shape: EB/NR best around 32 regions; EB/NR latency grows\n"

@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
         copts.max_repair_cycles = 64;
         auto metrics = bench::RunQueries(*sys, g, w, loss, opts.seed + 31,
                                          copts, opts.threads, opts.repeat);
-        auto s = device::MetricsSummary::Of(metrics);
+        auto s = bench::Summarize(metrics);
         std::printf(" %10.0f",
-                    tuning ? s.avg_tuning_packets : s.avg_latency_packets);
+                    tuning ? s.tuning_packets.mean : s.latency_packets.mean);
       }
       std::printf("\n");
     }

@@ -45,12 +45,12 @@ int main(int argc, char** argv) {
     for (const auto& sys : *systems) {
       auto metrics = bench::RunQueries(*sys, g, w, opts.Loss(), opts.seed,
                                        copts, opts.threads, opts.repeat);
-      auto summary = device::MetricsSummary::Of(metrics);
+      const sim::Aggregate summary = bench::Summarize(metrics);
       for (int c = 0; c < 5; ++c) {
         if (sys->name() == order[c]) {
-          cell[c] = summary.any_memory_exceeded ? "-" : "Y";
+          cell[c] = summary.memory_exceeded > 0 ? "-" : "Y";
           // Report the driving number too.
-          cell[c] += "(" + bench::Mb(summary.max_peak_memory_bytes) + ")";
+          cell[c] += "(" + bench::Mb(summary.peak_memory_bytes.max) + ")";
         }
       }
     }

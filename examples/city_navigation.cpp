@@ -11,6 +11,7 @@
 #include "core/systems.h"
 #include "device/energy.h"
 #include "graph/catalog.h"
+#include "sim/aggregate.h"
 #include "workload/workload.h"
 
 using namespace airindex;  // NOLINT: example binary
@@ -40,20 +41,17 @@ int main() {
   for (const auto& sys : systems) {
     broadcast::BroadcastChannel channel(&sys->cycle(), 0.0);
     std::vector<device::QueryMetrics> metrics;
-    double joules = 0;
     for (const auto& q : commuters.queries) {
-      auto m = sys->RunQuery(channel, core::MakeAirQuery(city, q));
-      joules += energy.QueryJoules(m);
-      metrics.push_back(m);
+      metrics.push_back(sys->RunQuery(channel, core::MakeAirQuery(city, q)));
     }
-    auto s = device::MetricsSummary::Of(metrics);
+    const sim::Aggregate s = sim::Aggregate::Of(sys->name(), metrics, energy);
     std::printf("%-6s %12.0f %12.2f %10.0f %10.2f %10.3f\n",
-                std::string(sys->name()).c_str(), s.avg_tuning_packets,
+                s.system.c_str(), s.tuning_packets.mean,
                 device::CycleSeconds(
-                    static_cast<uint64_t>(s.avg_latency_packets),
+                    static_cast<uint64_t>(s.latency_packets.mean),
                     device::kBitrateStatic3G),
-                s.avg_peak_memory_bytes / 1024.0, s.avg_cpu_ms,
-                joules / static_cast<double>(commuters.queries.size()));
+                s.peak_memory_bytes.mean / 1024.0, s.cpu_ms.mean,
+                s.energy_joules.mean);
   }
   std::printf(
       "\nSelective tuning (NR, EB) receives a handful of regions instead\n"

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "graph/types.h"
 
@@ -61,42 +60,6 @@ struct QueryMetrics {
   bool memory_exceeded = false;
 
   bool operator==(const QueryMetrics&) const = default;
-};
-
-/// Aggregate of many queries (the paper reports per-bucket averages).
-struct MetricsSummary {
-  double avg_tuning_packets = 0;
-  double avg_latency_packets = 0;
-  double avg_peak_memory_bytes = 0;
-  double avg_cpu_ms = 0;
-  double max_peak_memory_bytes = 0;
-  size_t count = 0;
-  size_t failures = 0;
-  bool any_memory_exceeded = false;
-
-  static MetricsSummary Of(std::span<const QueryMetrics> metrics) {
-    MetricsSummary s;
-    for (const auto& m : metrics) {
-      s.avg_tuning_packets += static_cast<double>(m.tuning_packets);
-      s.avg_latency_packets += static_cast<double>(m.latency_packets);
-      s.avg_peak_memory_bytes += static_cast<double>(m.peak_memory_bytes);
-      s.avg_cpu_ms += m.cpu_ms;
-      s.max_peak_memory_bytes =
-          std::max(s.max_peak_memory_bytes,
-                   static_cast<double>(m.peak_memory_bytes));
-      s.any_memory_exceeded |= m.memory_exceeded;
-      if (!m.ok) ++s.failures;
-      ++s.count;
-    }
-    if (s.count > 0) {
-      const auto n = static_cast<double>(s.count);
-      s.avg_tuning_packets /= n;
-      s.avg_latency_packets /= n;
-      s.avg_peak_memory_bytes /= n;
-      s.avg_cpu_ms /= n;
-    }
-    return s;
-  }
 };
 
 /// Wall-clock stopwatch for the cpu_ms metric.

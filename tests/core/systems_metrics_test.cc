@@ -5,6 +5,7 @@
 #include "core/nr.h"
 #include "core/systems.h"
 #include "device/metrics.h"
+#include "sim/aggregate.h"
 #include "testing/test_graphs.h"
 #include "workload/workload.h"
 
@@ -33,14 +34,17 @@ Fixture MakeFixture(uint32_t nodes = 800, uint32_t edges = 1280,
   return f;
 }
 
-device::MetricsSummary RunAll(const Fixture& f, const AirSystem& sys,
-                              ClientOptions opts = {}) {
+sim::Aggregate RunAll(const Fixture& f, const AirSystem& sys,
+                      ClientOptions opts = {}) {
   broadcast::BroadcastChannel channel(&sys.cycle(), 0.0);
   std::vector<device::QueryMetrics> ms;
   for (const auto& q : f.w.queries) {
     ms.push_back(sys.RunQuery(channel, MakeAirQuery(f.g, q), opts));
   }
-  return device::MetricsSummary::Of(ms);
+  return sim::Aggregate::Of(
+      sys.name(), ms,
+      device::EnergyModel(device::DeviceProfile::J2mePhone(),
+                          device::kBitrateStatic3G));
 }
 
 const AirSystem& Find(const Fixture& f, std::string_view name) {
@@ -58,8 +62,8 @@ TEST(SystemsMetricsTest, SelectiveTuningBeatsFullCycleListening) {
   const auto nr = RunAll(f, Find(f, "NR"));
   // The paper's headline (Fig. 10a): NR and EB tune to far fewer packets
   // than any full-cycle method.
-  EXPECT_LT(eb.avg_tuning_packets, dj.avg_tuning_packets);
-  EXPECT_LT(nr.avg_tuning_packets, dj.avg_tuning_packets);
+  EXPECT_LT(eb.tuning_packets.mean, dj.tuning_packets.mean);
+  EXPECT_LT(nr.tuning_packets.mean, dj.tuning_packets.mean);
 }
 
 TEST(SystemsMetricsTest, NrTunesLessThanEb) {
@@ -67,7 +71,7 @@ TEST(SystemsMetricsTest, NrTunesLessThanEb) {
   const auto eb = RunAll(f, Find(f, "EB"));
   const auto nr = RunAll(f, Find(f, "NR"));
   // §5: NR listens to a subset of the regions EB needs.
-  EXPECT_LT(nr.avg_tuning_packets, eb.avg_tuning_packets);
+  EXPECT_LT(nr.tuning_packets.mean, eb.tuning_packets.mean);
 }
 
 TEST(SystemsMetricsTest, MemoryOrderingMatchesPaper) {
@@ -79,10 +83,10 @@ TEST(SystemsMetricsTest, MemoryOrderingMatchesPaper) {
   const auto af = RunAll(f, Find(f, "AF"));
   // Fig. 10b: NR and EB hold a fraction of the network; DJ holds all of
   // it; LD and AF hold the network plus pre-computed payloads.
-  EXPECT_LT(nr.avg_peak_memory_bytes, dj.avg_peak_memory_bytes);
-  EXPECT_LT(eb.avg_peak_memory_bytes, dj.avg_peak_memory_bytes);
-  EXPECT_GT(ld.avg_peak_memory_bytes, dj.avg_peak_memory_bytes);
-  EXPECT_GT(af.avg_peak_memory_bytes, dj.avg_peak_memory_bytes);
+  EXPECT_LT(nr.peak_memory_bytes.mean, dj.peak_memory_bytes.mean);
+  EXPECT_LT(eb.peak_memory_bytes.mean, dj.peak_memory_bytes.mean);
+  EXPECT_GT(ld.peak_memory_bytes.mean, dj.peak_memory_bytes.mean);
+  EXPECT_GT(af.peak_memory_bytes.mean, dj.peak_memory_bytes.mean);
 }
 
 TEST(SystemsMetricsTest, CycleLengthOrderingMatchesTable1) {
@@ -106,7 +110,7 @@ TEST(SystemsMetricsTest, FullCycleMethodsLatencyAboutOneCycle) {
     const AirSystem& sys = Find(f, name);
     const auto summary = RunAll(f, sys);
     // Lossless: exactly one cycle of listening.
-    EXPECT_NEAR(summary.avg_latency_packets, sys.cycle().total_packets(),
+    EXPECT_NEAR(summary.latency_packets.mean, sys.cycle().total_packets(),
                 1.0)
         << name;
   }
@@ -143,7 +147,7 @@ TEST(SystemsMetricsTest, NrLatencyBelowItsOwnCycle) {
   // overhead to be a small fraction of the cycle, which holds at paper
   // scale (+1.7%) but not on a miniature 800-node fixture; the fig10 bench
   // demonstrates it at larger scales.
-  EXPECT_LT(summary.avg_latency_packets, nr.cycle().total_packets() * 1.02);
+  EXPECT_LT(summary.latency_packets.mean, nr.cycle().total_packets() * 1.02);
 }
 
 TEST(SystemsMetricsTest, MemoryBoundProcessingReducesPeakMemory) {
@@ -156,7 +160,7 @@ TEST(SystemsMetricsTest, MemoryBoundProcessingReducesPeakMemory) {
     const auto with = RunAll(f, sys, bound);
     const auto without = RunAll(f, sys, plain);
     // Fig. 13a: §6.1 processing lowers the peak (~35% in the paper).
-    EXPECT_LT(with.avg_peak_memory_bytes, without.avg_peak_memory_bytes)
+    EXPECT_LT(with.peak_memory_bytes.mean, without.peak_memory_bytes.mean)
         << name;
   }
 }
@@ -171,7 +175,7 @@ TEST(SystemsMetricsTest, CrossBorderOptimizationReducesTuning) {
   const auto without = RunAll(f, eb, no_opt);
   // §4.1: the cross-border/local split trims tuning time (~20% in the
   // paper).
-  EXPECT_LT(with.avg_tuning_packets, without.avg_tuning_packets);
+  EXPECT_LT(with.tuning_packets.mean, without.tuning_packets.mean);
 }
 
 TEST(SystemsMetricsTest, EbInterleavingUsesMultipleCopies) {

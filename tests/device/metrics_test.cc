@@ -2,55 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 namespace airindex::device {
 namespace {
-
-TEST(MetricsSummaryTest, AveragesOverQueries) {
-  std::vector<QueryMetrics> ms(2);
-  ms[0].tuning_packets = 100;
-  ms[0].latency_packets = 200;
-  ms[0].peak_memory_bytes = 1000;
-  ms[0].cpu_ms = 2.0;
-  ms[0].ok = true;
-  ms[1].tuning_packets = 300;
-  ms[1].latency_packets = 400;
-  ms[1].peak_memory_bytes = 3000;
-  ms[1].cpu_ms = 4.0;
-  ms[1].ok = true;
-  MetricsSummary s = MetricsSummary::Of(ms);
-  EXPECT_DOUBLE_EQ(s.avg_tuning_packets, 200.0);
-  EXPECT_DOUBLE_EQ(s.avg_latency_packets, 300.0);
-  EXPECT_DOUBLE_EQ(s.avg_peak_memory_bytes, 2000.0);
-  EXPECT_DOUBLE_EQ(s.avg_cpu_ms, 3.0);
-  EXPECT_DOUBLE_EQ(s.max_peak_memory_bytes, 3000.0);
-  EXPECT_EQ(s.count, 2u);
-  EXPECT_EQ(s.failures, 0u);
-}
-
-TEST(MetricsSummaryTest, CountsFailures) {
-  std::vector<QueryMetrics> ms(3);
-  ms[0].ok = true;
-  ms[1].ok = false;
-  ms[2].ok = false;
-  MetricsSummary s = MetricsSummary::Of(ms);
-  EXPECT_EQ(s.failures, 2u);
-}
-
-TEST(MetricsSummaryTest, PropagatesMemoryExceeded) {
-  std::vector<QueryMetrics> ms(2);
-  ms[0].ok = true;
-  ms[1].ok = true;
-  ms[1].memory_exceeded = true;
-  EXPECT_TRUE(MetricsSummary::Of(ms).any_memory_exceeded);
-}
-
-TEST(MetricsSummaryTest, EmptyInput) {
-  MetricsSummary s = MetricsSummary::Of({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.avg_tuning_packets, 0.0);
-}
 
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch sw;

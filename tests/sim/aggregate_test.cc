@@ -90,6 +90,11 @@ TEST(AggregateTest, CountsFailuresAndMemoryExceeded) {
   EXPECT_EQ(a.queries, 4u);
   EXPECT_EQ(a.failures, 2u);
   EXPECT_EQ(a.memory_exceeded, 1u);
+
+  Aggregate empty = Aggregate::Of("NR", {}, TestEnergy());
+  EXPECT_EQ(empty.queries, 0u);
+  EXPECT_EQ(empty.failures, 0u);
+  EXPECT_EQ(empty.tuning_packets.mean, 0.0);
 }
 
 TEST(AggregateTest, AggregatesEveryCostFactor) {
@@ -106,10 +111,13 @@ TEST(AggregateTest, AggregatesEveryCostFactor) {
   metrics[1].ok = true;
 
   Aggregate a = Aggregate::Of("EB", metrics, TestEnergy());
+  EXPECT_EQ(a.queries, 2u);
+  EXPECT_EQ(a.failures, 0u);
   EXPECT_DOUBLE_EQ(a.tuning_packets.mean, 200.0);
   EXPECT_EQ(a.tuning_packets.max, 300.0);
   EXPECT_DOUBLE_EQ(a.latency_packets.mean, 300.0);
   EXPECT_DOUBLE_EQ(a.peak_memory_bytes.mean, 2000.0);
+  EXPECT_EQ(a.peak_memory_bytes.max, 3000.0);
   EXPECT_DOUBLE_EQ(a.cpu_ms.mean, 3.0);
   // Energy is monotone in tuning time: the heavier query costs more.
   const auto energy = TestEnergy();

@@ -36,6 +36,7 @@
 
 #include "broadcast/channel.h"
 #include "broadcast/schedule.h"
+#include "common/flags.h"
 #include "core/systems.h"
 #include "device/energy.h"
 #include "device/profile_catalog.h"
@@ -148,46 +149,6 @@ void PrintUsage(std::FILE* out) {
 int Usage() {
   PrintUsage(stderr);
   return 2;
-}
-
-/// Reports a flag whose value failed strict numeric parsing. `arg` is the
-/// whole "--name=value" argument, `prefix` the length of "--name=".
-bool BadFlagValue(const char* arg, size_t prefix) {
-  std::fprintf(stderr, "invalid value for %.*s: \"%s\"\n",
-               static_cast<int>(prefix - 1), arg, arg + prefix);
-  return false;
-}
-
-/// Strict double parse of a --flag=value argument: the value must consume
-/// entirely as a finite number (the atof it replaces read "abc" as 0.0
-/// without a word). Prints the offending flag on failure.
-bool ParseDoubleFlag(const char* arg, size_t prefix, double* out) {
-  const char* value = arg + prefix;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || errno == ERANGE) {
-    return BadFlagValue(arg, prefix);
-  }
-  *out = v;
-  return true;
-}
-
-/// Strict unsigned parse of a --flag=value argument. Rejects a leading
-/// '-' explicitly: strtoull would happily wrap "-1" to 2^64-1.
-bool ParseUintFlag(const char* arg, size_t prefix, uint64_t* out) {
-  const char* value = arg + prefix;
-  if (*value == '\0' || *value == '-' || *value == '+') {
-    return BadFlagValue(arg, prefix);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE) {
-    return BadFlagValue(arg, prefix);
-  }
-  *out = v;
-  return true;
 }
 
 /// Parses a --schedule= value: "flat", "disks[:K[:r1,r2,...]]", or
