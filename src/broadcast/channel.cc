@@ -183,6 +183,23 @@ ReceivedSegment CompleteSegmentFrom(ClientSession& session,
   return out;
 }
 
+std::optional<uint32_t> ReceiveIndexCopy(ClientSession& session,
+                                         int max_probes,
+                                         ReceivedSegment* out) {
+  for (int probe = 0; probe < max_probes; ++probe) {
+    const std::optional<PacketView> view = session.ReceiveNext();
+    if (!view.has_value()) continue;
+    if (view->next_index_offset == 0 && view->seq == 0) {
+      CompleteSegmentFrom(session, *view, out);
+      return view->cycle_pos;
+    }
+    const uint32_t start = NextIndexTarget(session, *view);
+    ReceiveSegmentAt(session, start, out);
+    return start;
+  }
+  return std::nullopt;
+}
+
 bool RepairSegment(ClientSession& session, uint32_t segment_start,
                    ReceivedSegment* seg, int max_extra_cycles) {
   if (seg->complete) return true;

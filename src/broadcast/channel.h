@@ -470,6 +470,15 @@ inline uint32_t NextIndexTarget(const ClientSession& session,
          session.cycle().total_packets();
 }
 
+/// Tunes in and receives an index copy into `*out`: listens until a packet
+/// arrives intact (at most `max_probes` packets), then completes the index
+/// segment that packet starts, or dozes to the next index copy it points
+/// at. Returns the copy's cycle position, or nullopt when every probe was
+/// lost.
+std::optional<uint32_t> ReceiveIndexCopy(ClientSession& session,
+                                         int max_probes,
+                                         ReceivedSegment* out);
+
 }  // namespace airindex::broadcast
 
 #endif  // AIRINDEX_BROADCAST_CHANNEL_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "algo/dijkstra.h"
 #include "broadcast/interleave.h"
@@ -235,20 +236,10 @@ device::QueryMetrics EbSystem::RunQuery(
     s.session.LoadIndex(index_seg);
     s.session.CountHit();
   } else {
-    bool found = false;
-    for (int attempts = 0; attempts < 64 && !found; ++attempts) {
-      auto view = run.session.ReceiveNext();
-      if (!view.has_value()) continue;
-      found = true;
-      if (view->next_index_offset == 0 && view->seq == 0) {
-        index_start = view->cycle_pos;
-        broadcast::CompleteSegmentFrom(run.session, *view, index_seg);
-      } else {
-        index_start = broadcast::NextIndexTarget(run.session, *view);
-        broadcast::ReceiveSegmentAt(run.session, index_start, index_seg);
-      }
-    }
-    if (!found) return run.metrics;  // channel effectively dead
+    const std::optional<uint32_t> start =
+        broadcast::ReceiveIndexCopy(run.session, 64, index_seg);
+    if (!start.has_value()) return run.metrics;  // channel effectively dead
+    index_start = *start;
     if (cache_on) s.session.StoreIndex(index_start, *index_seg);
   }
   run.memory.Charge(index_seg->payload.size());

@@ -1,6 +1,7 @@
 #include "core/nr.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "algo/dijkstra.h"
 #include "common/byte_io.h"
@@ -203,20 +204,10 @@ device::QueryMetrics NrSystem::RunQuery(
   // one; tuning in right at an index start uses that very copy) ----------
   uint32_t idx_start = 0;
   auto receive_some_index = [&](ReceivedSegment* out, bool* ok) {
-    for (int attempts = 0; attempts < 256; ++attempts) {
-      auto view = run.session.ReceiveNext();
-      if (!view.has_value()) continue;
-      *ok = true;
-      if (view->next_index_offset == 0 && view->seq == 0) {
-        idx_start = view->cycle_pos;
-        broadcast::CompleteSegmentFrom(run.session, *view, out);
-        return;
-      }
-      idx_start = broadcast::NextIndexTarget(run.session, *view);
-      broadcast::ReceiveSegmentAt(run.session, idx_start, out);
-      return;
-    }
-    *ok = false;
+    const std::optional<uint32_t> start =
+        broadcast::ReceiveIndexCopy(run.session, 256, out);
+    *ok = start.has_value();
+    if (*ok) idx_start = *start;
   };
 
   bool found = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 
 #include "algo/dijkstra.h"
 #include "common/byte_io.h"
@@ -25,26 +26,12 @@ RangeResult RunRangeQuery(const EbSystem& system,
 
   // Receive the next index copy (same protocol as the shortest-path
   // client; simple whole-copy repair is enough here).
-  uint32_t index_start = 0;
   broadcast::ReceivedSegment index_seg;
-  {
-    bool found = false;
-    for (int attempts = 0; attempts < 64 && !found; ++attempts) {
-      auto view = run.session.ReceiveNext();
-      if (!view.has_value()) continue;
-      found = true;
-      if (view->next_index_offset == 0 && view->seq == 0) {
-        index_start = view->cycle_pos;
-        index_seg = broadcast::CompleteSegmentFrom(run.session, *view);
-      } else {
-        index_start = broadcast::NextIndexTarget(run.session, *view);
-        index_seg = ReceiveSegmentAt(run.session, index_start);
-      }
-    }
-    if (!found) return result;
-  }
+  const std::optional<uint32_t> index_start =
+      broadcast::ReceiveIndexCopy(run.session, 64, &index_seg);
+  if (!index_start.has_value()) return result;
   if (!index_seg.complete &&
-      !RepairSegment(run.session, index_start, &index_seg,
+      !RepairSegment(run.session, *index_start, &index_seg,
                      options.max_repair_cycles)) {
     return result;
   }

@@ -1,7 +1,6 @@
 #include "sim/event_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <numeric>
 #include <optional>
@@ -46,21 +45,8 @@ SystemResult EventEngine::RunSystem(const core::AirSystem& sys,
     return RunSystemOnline(sys, w);
   }
 
-  // Static broadcast-disk schedule: planned once from the analytic demand
-  // profile and transmitted for the whole run. A flat policy (or a planner
-  // that collapses to the flat spec) leaves the station schedule-free —
-  // the historical timeline, bit for bit.
-  std::optional<broadcast::BroadcastSchedule> sched;
-  if (options_.schedule.mode == SchedulePolicy::Mode::kStatic) {
-    broadcast::ScheduleSpec spec =
-        PlanStaticSpec(sys.cycle(), options_.schedule_demand,
-                       options_.schedule, options_.encoding);
-    if (!spec.flat()) {
-      auto compiled =
-          broadcast::BroadcastSchedule::Compile(&sys.cycle(), std::move(spec));
-      if (compiled.ok()) sched = std::move(compiled).value();
-    }
-  }
+  const std::optional<broadcast::BroadcastSchedule> sched =
+      StaticSchedule(sys, options_);
   const broadcast::Station station(
       &sys.cycle(),
       StationOptionsOf(options_, sched.has_value() ? &*sched : nullptr));
@@ -214,26 +200,14 @@ SystemResult EventEngine::RunSystemOnline(const core::AirSystem& sys,
 BatchResult EventEngine::Run(
     std::span<const core::AirSystem* const> systems,
     const workload::Workload& w) const {
-  BatchResult batch;
+  BatchResult batch =
+      RunBatch(systems, w.queries.size(), options_,
+               [&](const core::AirSystem& sys) { return RunSystem(sys, w); });
   batch.engine = "event";
-  batch.num_queries = w.queries.size();
-  batch.threads = effective_threads();
-  batch.loss_rate = options_.loss.rate;
-  batch.loss_burst_len = options_.loss.burst_len;
-  batch.corrupt_bit = options_.loss.corrupt_bit;
   batch.loss_seed = options_.station_seed;
   batch.subchannels = options_.subchannels;
-  batch.fec = options_.fec;
-  batch.schedule_mode = std::string(ScheduleModeName(options_.schedule.mode));
   batch.session_queries = std::max(1u, options_.session.queries);
   batch.cache_bytes = options_.cache_bytes;
-  const auto start = std::chrono::steady_clock::now();
-  for (const core::AirSystem* sys : systems) {
-    batch.systems.push_back(RunSystem(*sys, w));
-  }
-  batch.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return batch;
 }
 

@@ -66,9 +66,6 @@ class EventEngine {
   }
 
   const EventOptions& options() const { return options_; }
-  device::EnergyModel energy_model() const {
-    return device::EnergyModel(options_.profile, options_.bits_per_second);
-  }
   unsigned effective_threads() const;
 
   /// The *flat* station this engine would stand up for `sys` (exposed for

@@ -4,18 +4,42 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "core/air_system.h"
 #include "core/query_scratch.h"
 #include "device/energy.h"
 #include "device/metrics.h"
+#include "broadcast/schedule.h"
 #include "sim/aggregate.h"
+#include "sim/schedule_plan.h"
 #include "sim/simulator.h"
 
 namespace airindex::sim {
+
+/// The static broadcast-disk schedule of `sys`, planned once from the
+/// run's analytic demand profile and transmitted for the whole run. Any
+/// other mode, or a plan that collapses to the flat spec, yields nullopt:
+/// the schedule-free historical timeline, bit for bit.
+inline std::optional<broadcast::BroadcastSchedule> StaticSchedule(
+    const core::AirSystem& sys, const EngineOptions& options) {
+  if (options.schedule.mode != SchedulePolicy::Mode::kStatic) {
+    return std::nullopt;
+  }
+  broadcast::ScheduleSpec spec =
+      PlanStaticSpec(sys.cycle(), options.schedule_demand, options.schedule,
+                     options.encoding);
+  if (spec.flat()) return std::nullopt;
+  auto compiled =
+      broadcast::BroadcastSchedule::Compile(&sys.cycle(), std::move(spec));
+  if (!compiled.ok()) return std::nullopt;
+  return std::move(compiled).value();
+}
 
 /// Prices a query's wait/listen split in milliseconds: the doze from the
 /// arrival instant to the joined packet's start (`boundary_ms`, the event
@@ -83,6 +107,31 @@ SystemResult FanOut(std::string_view system, size_t num_queries,
       result.system, result.per_query,
       device::EnergyModel(options.profile, options.bits_per_second));
   return result;
+}
+
+/// Runs `run_system(sys)` for every system in turn into a BatchResult
+/// carrying the run's shared configuration; the engine adds its own
+/// fields (seed, engine name, sessions).
+template <typename RunSystem>
+BatchResult RunBatch(std::span<const core::AirSystem* const> systems,
+                     size_t num_queries, const EngineOptions& options,
+                     RunSystem&& run_system) {
+  BatchResult batch;
+  batch.num_queries = num_queries;
+  batch.threads = ResolveThreads(options.threads);
+  batch.loss_rate = options.loss.rate;
+  batch.loss_burst_len = options.loss.burst_len;
+  batch.corrupt_bit = options.loss.corrupt_bit;
+  batch.fec = options.fec;
+  batch.schedule_mode = std::string(ScheduleModeName(options.schedule.mode));
+  const auto start = std::chrono::steady_clock::now();
+  for (const core::AirSystem* sys : systems) {
+    batch.systems.push_back(run_system(*sys));
+  }
+  batch.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return batch;
 }
 
 }  // namespace airindex::sim

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <chrono>
 #include <optional>
 
 #include "common/thread_pool.h"
@@ -22,23 +21,12 @@ uint64_t QueryLossSeed(uint64_t base_seed, size_t index) {
 
 SystemResult Simulator::RunSystem(const core::AirSystem& sys,
                                   const workload::Workload& w) const {
-  // Static broadcast-disk schedule: planned once per system, shared
-  // read-only by every per-query channel replay. Flat mode (and a planner
-  // that collapses to the flat spec) keeps the channels schedule-free —
-  // the historical construction, bit for bit. Online mode has no meaning
-  // here (no shared timeline); callers reject it before reaching the
-  // engine, and a policy that slips through degrades to flat.
-  std::optional<broadcast::BroadcastSchedule> sched;
-  if (options_.schedule.mode == SchedulePolicy::Mode::kStatic) {
-    broadcast::ScheduleSpec spec = PlanStaticSpec(
-        sys.cycle(), options_.schedule_demand, options_.schedule,
-        options_.encoding);
-    if (!spec.flat()) {
-      auto compiled =
-          broadcast::BroadcastSchedule::Compile(&sys.cycle(), std::move(spec));
-      if (compiled.ok()) sched = std::move(compiled).value();
-    }
-  }
+  // The static schedule is shared read-only by every per-query channel
+  // replay. Online mode has no meaning here (no shared timeline); callers
+  // reject it before reaching the engine, and a policy that slips through
+  // degrades to flat.
+  const std::optional<broadcast::BroadcastSchedule> sched =
+      StaticSchedule(sys, options_);
   const broadcast::BroadcastSchedule* schedule =
       sched.has_value() ? &*sched : nullptr;
 
@@ -66,22 +54,10 @@ SystemResult Simulator::RunSystem(const core::AirSystem& sys,
 
 BatchResult Simulator::Run(std::span<const core::AirSystem* const> systems,
                            const workload::Workload& w) const {
-  BatchResult batch;
-  batch.num_queries = w.queries.size();
-  batch.threads = effective_threads();
-  batch.loss_rate = options_.loss.rate;
-  batch.loss_burst_len = options_.loss.burst_len;
-  batch.corrupt_bit = options_.loss.corrupt_bit;
+  BatchResult batch =
+      RunBatch(systems, w.queries.size(), options_,
+               [&](const core::AirSystem& sys) { return RunSystem(sys, w); });
   batch.loss_seed = options_.loss_seed;
-  batch.fec = options_.fec;
-  batch.schedule_mode = std::string(ScheduleModeName(options_.schedule.mode));
-  const auto start = std::chrono::steady_clock::now();
-  for (const core::AirSystem* sys : systems) {
-    batch.systems.push_back(RunSystem(*sys, w));
-  }
-  batch.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   return batch;
 }
 

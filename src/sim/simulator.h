@@ -159,9 +159,6 @@ class Simulator {
       : graph_(&g), options_(options) {}
 
   const SimOptions& options() const { return options_; }
-  device::EnergyModel energy_model() const {
-    return device::EnergyModel(options_.profile, options_.bits_per_second);
-  }
   /// Worker count actually used (options().threads with 0 resolved to the
   /// hardware concurrency).
   unsigned effective_threads() const;
