@@ -483,7 +483,6 @@ device::QueryMetrics EbSystem::RunQuery(
     dist = s.search.DistTo(query.target);
   }
   run.cpu_ms += sw_search.ElapsedMs();
-
   return run.Finish(dist, dist != graph::kInfDist);
 }
 

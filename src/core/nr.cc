@@ -467,7 +467,6 @@ device::QueryMetrics NrSystem::RunQuery(
     }
   }
   run.cpu_ms += sw_search.ElapsedMs();
-
   return run.Finish(dist, dist != graph::kInfDist);
 }
 

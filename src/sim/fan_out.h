@@ -10,12 +10,12 @@
 #include <string_view>
 #include <vector>
 
+#include "broadcast/schedule.h"
 #include "common/thread_pool.h"
 #include "core/air_system.h"
 #include "core/query_scratch.h"
 #include "device/energy.h"
 #include "device/metrics.h"
-#include "broadcast/schedule.h"
 #include "sim/aggregate.h"
 #include "sim/schedule_plan.h"
 #include "sim/simulator.h"
