@@ -2,9 +2,13 @@
 // seven systems, across both engines and every engine path (batch replay,
 // the one-shot event fleet, warm sessions, online re-planning), three loss
 // models and FEC off/on, hashed and compared against constants recorded
-// from the implementation these paths were refactored from. Unlike the
-// relational determinism tests (scratch vs none, threads 1 vs 4), a change
-// that moves both sides of a comparison the same way fails here.
+// from the implementation these paths were refactored from. Two more
+// fixtures pin the compact cycle encoding and the non-default client
+// options (AF header repair, §6.1 memory-bound processing, no cross-border
+// optimization), and a last digest pins the §8 kNN and range clients'
+// metrics and answers. Unlike the relational determinism tests (scratch vs
+// none, threads 1 vs 4), a change that moves both sides of a comparison
+// the same way fails here.
 //
 // The constants must never be edited to make a change pass: a mismatch
 // means a simulated result moved.
@@ -15,6 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "core/eb.h"
+#include "core/knn_on_air.h"
+#include "core/range_on_air.h"
 #include "core/systems.h"
 #include "sim/event_engine.h"
 #include "sim/simulator.h"
@@ -27,6 +34,7 @@ namespace {
 
 using testing_support::DigestOf;
 using testing_support::Hex;
+using testing_support::MetricsDigest;
 using testing_support::SmallNetwork;
 
 struct Fixture {
@@ -35,30 +43,49 @@ struct Fixture {
   workload::Workload w;
 };
 
+Fixture* MakeFixture(broadcast::CycleEncoding encoding) {
+  auto* fx = new Fixture();
+  fx->g = SmallNetwork(300, 480, 77);
+  core::SystemParams params;
+  params.arcflag_regions = 8;
+  params.eb_regions = 8;
+  params.nr_regions = 8;
+  params.landmarks = 3;
+  params.hiti_regions = 8;
+  params.include_spq = true;
+  params.include_hiti = true;
+  params.build.encoding = encoding;
+  fx->systems = core::BuildSystems(fx->g, params).value();
+  workload::WorkloadSpec spec;
+  spec.count = 24;
+  spec.seed = 78;
+  spec.dest = workload::WorkloadSpec::Dest::kZipf;
+  spec.zipf_s = 1.2;
+  spec.arrival.kind = workload::ArrivalSpec::Kind::kPoisson;
+  spec.arrival.rate_per_second = 30.0;
+  fx->w = workload::GenerateWorkload(fx->g, spec).value();
+  return fx;
+}
+
 const Fixture& SharedFixture() {
-  static const Fixture& f = *[] {
-    auto* fx = new Fixture();
-    fx->g = SmallNetwork(300, 480, 77);
-    core::SystemParams params;
-    params.arcflag_regions = 8;
-    params.eb_regions = 8;
-    params.nr_regions = 8;
-    params.landmarks = 3;
-    params.hiti_regions = 8;
-    params.include_spq = true;
-    params.include_hiti = true;
-    fx->systems = core::BuildSystems(fx->g, params).value();
-    workload::WorkloadSpec spec;
-    spec.count = 24;
-    spec.seed = 78;
-    spec.dest = workload::WorkloadSpec::Dest::kZipf;
-    spec.zipf_s = 1.2;
-    spec.arrival.kind = workload::ArrivalSpec::Kind::kPoisson;
-    spec.arrival.rate_per_second = 30.0;
-    fx->w = workload::GenerateWorkload(fx->g, spec).value();
-    return fx;
-  }();
+  static const Fixture& f = *MakeFixture(broadcast::CycleEncoding::kLegacy);
   return f;
+}
+
+const Fixture& CompactFixture() {
+  static const Fixture& f = *MakeFixture(broadcast::CycleEncoding::kCompact);
+  return f;
+}
+
+/// Every non-default client switch at once: AF's header repair, the §6.1
+/// memory-bound collapse (EB, NR) and EB without the §4.1 cross-border
+/// optimization.
+core::ClientOptions VariantClient() {
+  core::ClientOptions client;
+  client.repair_header = true;
+  client.memory_bound = true;
+  client.cross_border_opt = false;
+  return client;
 }
 
 enum class Path { kBatch, kEvent, kSessions, kOnline };
@@ -88,7 +115,8 @@ std::string Name(const Case& c) {
          kLossNames[c.loss] + (c.fec ? "/fec0.2" : "/fec-off");
 }
 
-BatchResult RunCase(const Fixture& f, const Case& c, unsigned threads) {
+BatchResult RunCase(const Fixture& f, const Case& c, unsigned threads,
+                    const core::ClientOptions& client = {}) {
   std::vector<const core::AirSystem*> ptrs;
   for (const auto& sys : f.systems) ptrs.push_back(sys.get());
   const broadcast::FecScheme fec =
@@ -98,6 +126,7 @@ BatchResult RunCase(const Fixture& f, const Case& c, unsigned threads) {
     so.threads = threads;
     so.loss = Loss(c.loss);
     so.fec = fec;
+    so.client = client;
     so.deterministic = true;
     return Simulator(f.g, so).Run(ptrs, f.w);
   }
@@ -105,6 +134,7 @@ BatchResult RunCase(const Fixture& f, const Case& c, unsigned threads) {
   eo.threads = threads;
   eo.loss = Loss(c.loss);
   eo.fec = fec;
+  eo.client = client;
   eo.deterministic = true;
   if (c.path == Path::kSessions) {
     eo.session.queries = 4;
@@ -154,6 +184,102 @@ TEST(MetricsDigestTest, EveryEnginePathMatchesRecordedDigest) {
           << Name(c) << " threads=" << threads;
     }
   }
+}
+
+// Recorded before the five full-cycle classes and the region decoders were
+// merged.
+const Case kCompactCases[] = {
+    {Path::kBatch, 0, false, 0xf4a9a49ac0d936bdULL},
+    {Path::kBatch, 1, false, 0xe4ce6ce8278bc5fcULL},
+    {Path::kBatch, 2, false, 0x6b944611947487a1ULL},
+    {Path::kEvent, 0, false, 0xc668299bc5e772deULL},
+    {Path::kEvent, 1, false, 0x54b532cf67db0f3aULL},
+    {Path::kEvent, 2, false, 0x22808a73c16c9babULL},
+    {Path::kSessions, 0, false, 0x14f161429d68fdccULL},
+    {Path::kSessions, 1, false, 0xcd8e48cc64e8f6dfULL},
+    {Path::kSessions, 2, false, 0xe0314c931ad7efa1ULL},
+};
+
+TEST(MetricsDigestTest, CompactEncodingMatchesRecordedDigest) {
+  const Fixture& f = CompactFixture();
+  ASSERT_EQ(f.systems.size(), 7u);
+  for (const Case& c : kCompactCases) {
+    for (unsigned threads : {1u, 4u}) {
+      EXPECT_EQ(Hex(DigestOf(RunCase(f, c, threads))), Hex(c.digest))
+          << "compact/" << Name(c) << " threads=" << threads;
+    }
+  }
+}
+
+// Recorded with the previous constants.
+const Case kVariantClientCases[] = {
+    {Path::kBatch, 0, false, 0x25353779ec095fe3ULL},
+    {Path::kBatch, 1, false, 0x1234016577470007ULL},
+    {Path::kBatch, 2, false, 0xc8c156b9d2ade7c4ULL},
+    {Path::kEvent, 0, false, 0x3653f9f3ea7145c0ULL},
+    {Path::kEvent, 1, false, 0xfddd5ca85ea08cedULL},
+    {Path::kEvent, 2, false, 0xfa29d9e4b90b1567ULL},
+    {Path::kSessions, 0, false, 0xa4b94752ac2c43bcULL},
+    {Path::kSessions, 1, false, 0x85527c0bdeba03dbULL},
+    {Path::kSessions, 2, false, 0x847d45098e69fadcULL},
+};
+
+TEST(MetricsDigestTest, VariantClientOptionsMatchRecordedDigest) {
+  const Fixture& f = SharedFixture();
+  for (const Case& c : kVariantClientCases) {
+    for (unsigned threads : {1u, 4u}) {
+      EXPECT_EQ(Hex(DigestOf(RunCase(f, c, threads, VariantClient()))),
+                Hex(c.digest))
+          << "variant/" << Name(c) << " threads=" << threads;
+    }
+  }
+}
+
+/// kNN and range queries against the fixture's network on an 8-region EB
+/// broadcast (legacy encoding): every query's metrics and answer pairs.
+uint64_t KnnRangeDigest(double loss_rate) {
+  const Fixture& f = SharedFixture();
+  auto eb = core::EbSystem::Build(f.g, 8).value();
+  broadcast::BroadcastChannel channel(&eb->cycle(), loss_rate, 91);
+  std::vector<graph::NodeId> pois;
+  for (graph::NodeId v = 5; v < f.g.num_nodes(); v += 13) pois.push_back(v);
+  MetricsDigest d;
+  for (size_t i = 0; i < f.w.queries.size(); ++i) {
+    const workload::Query& q = f.w.queries[i];
+    const double phase = static_cast<double>(i) /
+                         static_cast<double>(f.w.queries.size());
+    core::KnnQuery kq;
+    kq.source = q.source;
+    kq.source_coord = f.g.Coord(q.source);
+    kq.k = 1 + static_cast<uint32_t>(i % 5);
+    kq.tune_phase = phase;
+    const core::KnnResult knn = core::RunKnnQuery(*eb, channel, kq, pois);
+    d.Add(knn.metrics);
+    d.Add(static_cast<uint64_t>(knn.neighbors.size()));
+    for (const auto& [v, dist] : knn.neighbors) {
+      d.Add(static_cast<uint64_t>(v));
+      d.Add(static_cast<uint64_t>(dist));
+    }
+    core::RangeQuery rq;
+    rq.source = q.source;
+    rq.source_coord = f.g.Coord(q.source);
+    rq.radius = q.true_dist == graph::kInfDist ? 1000 : q.true_dist / 2;
+    rq.tune_phase = phase;
+    const core::RangeResult range = core::RunRangeQuery(*eb, channel, rq);
+    d.Add(range.metrics);
+    d.Add(static_cast<uint64_t>(range.nodes.size()));
+    for (const auto& [v, dist] : range.nodes) {
+      d.Add(static_cast<uint64_t>(v));
+      d.Add(static_cast<uint64_t>(dist));
+    }
+  }
+  return d.value();
+}
+
+// Recorded with the previous constants.
+TEST(MetricsDigestTest, KnnAndRangeMatchRecordedDigest) {
+  EXPECT_EQ(Hex(KnnRangeDigest(0.0)), Hex(0xd834ff726e8e267cULL)) << "lossless";
+  EXPECT_EQ(Hex(KnnRangeDigest(0.02)), Hex(0xc004794349890fa4ULL)) << "loss0.02";
 }
 
 }  // namespace
