@@ -8,7 +8,6 @@
 #include "algo/dijkstra.h"
 #include "algo/search_workspace.h"
 #include "core/border_precompute.h"
-#include "core/dijkstra_on_air.h"
 #include "core/nr.h"
 #include "core/query_scratch.h"
 #include "core/systems.h"
@@ -129,7 +128,7 @@ BENCHMARK(BM_NetworkGeneration)->Arg(1000)->Arg(10000)->Unit(
 void BM_CycleBuildDj(benchmark::State& state) {
   const graph::Graph& g = BenchGraph();
   for (auto _ : state) {
-    auto sys = core::DijkstraOnAir::Build(g).value();
+    auto sys = core::BuildSystem(g, "DJ", {}).value();
     benchmark::DoNotOptimize(sys->cycle().total_packets());
   }
 }
@@ -187,6 +186,18 @@ void BM_RunQueryNrFresh(benchmark::State& state) {
 void BM_RunQueryNrScratch(benchmark::State& state) {
   RunQueryBench(state, "NR", true);
 }
+void BM_RunQueryLdFresh(benchmark::State& state) {
+  RunQueryBench(state, "LD", false);
+}
+void BM_RunQueryLdScratch(benchmark::State& state) {
+  RunQueryBench(state, "LD", true);
+}
+void BM_RunQueryAfFresh(benchmark::State& state) {
+  RunQueryBench(state, "AF", false);
+}
+void BM_RunQueryAfScratch(benchmark::State& state) {
+  RunQueryBench(state, "AF", true);
+}
 void BM_RunQueryEbFresh(benchmark::State& state) {
   RunQueryBench(state, "EB", false);
 }
@@ -199,6 +210,10 @@ BENCHMARK(BM_RunQueryNrFresh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryNrScratch)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryEbFresh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryEbScratch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunQueryLdFresh)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunQueryLdScratch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunQueryAfFresh)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunQueryAfScratch)->Unit(benchmark::kMillisecond);
 
 // Shared fixture for the engine benchmarks. The leaked Global() registry
 // keeps the NR system alive for the process lifetime.

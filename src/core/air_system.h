@@ -64,8 +64,9 @@ struct ClientOptions {
 struct QueryScratch;
 
 /// One broadcast method: a server-built cycle plus the matching client
-/// algorithm. Implementations: DijkstraOnAir, LandmarkOnAir, ArcFlagOnAir,
-/// HiTiOnAir, SpqOnAir, EbSystem, NrSystem.
+/// algorithm. Implementations: FullCycleSystem, the one shape of the five
+/// full-cycle methods DJ, LD, AF, SPQ and HiTi (core/full_cycle_system.h),
+/// EbSystem and NrSystem.
 ///
 /// Thread-safety contract: after Build() returns, an AirSystem is
 /// immutable — RunQuery and every accessor are const and touch no hidden

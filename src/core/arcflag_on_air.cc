@@ -1,12 +1,9 @@
-#include "core/arcflag_on_air.h"
-
 #include <bit>
-#include <chrono>
 
+#include "algo/arc_flags.h"
 #include "common/byte_io.h"
-#include "core/client_run.h"
-#include "core/cycle_common.h"
-#include "core/full_cycle.h"
+#include "core/full_cycle_system.h"
+#include "partition/kd_tree.h"
 
 namespace airindex::core {
 namespace {
@@ -14,181 +11,148 @@ namespace {
 constexpr uint32_t kHeaderSegment = 0;
 constexpr uint32_t kFlagChunkArcs = 4096;
 
+/// AF: the flag-restricted Dijkstra over a graph::Graph rebuilt from the
+/// received network (its CSR layout matches the server's: same edges, same
+/// per-node sort order, so the flag vectors' arc order lines up).
+struct ArcFlagMethod {
+  static constexpr std::string_view kName = "AF";
+  static constexpr bool kRebuildsGraph = true;
+
+  uint32_t num_regions = 0;
+  uint32_t num_nodes = 0;
+  uint32_t num_arcs = 0;
+
+  bool RepairAux(const broadcast::ReceivedSegment& seg,
+                 const ClientOptions& options) const {
+    // A lost flag chunk degrades to all-ones (§6.2), but a lost header
+    // kills the query — the kd splits cannot be reconstructed. The opt-in
+    // repair closes that gap; off by default to preserve the paper's
+    // reproduction numbers.
+    return options.repair_header && seg.segment_id == kHeaderSegment;
+  }
+
+  struct Query {
+    Query(const ArcFlagMethod& method, ClientRun& run)
+        : method(method), run(run), coords(method.num_nodes) {
+      run.scratch().edges.reserve(method.num_arcs);
+    }
+
+    void OnAux(broadcast::ReceivedSegment& seg) {
+      if (seg.segment_id != kHeaderSegment) {
+        // Raw flag bytes are retained, and stay charged, until the search.
+        // Moving them out costs the scratch's segment a fresh buffer next
+        // query; AF rebuilds a whole Graph per query anyway.
+        flags.push_back(std::move(seg));
+        return;
+      }
+      if (seg.complete) {
+        ByteReader reader(seg.payload);
+        const uint16_t regions = reader.ReadU16();
+        reader.ReadU32();  // node count (known)
+        reader.ReadU32();  // arc count (known)
+        splits.reserve(regions - 1);
+        for (uint16_t i = 0; i + 1 < regions; ++i) {
+          splits.push_back(std::bit_cast<double>(reader.ReadU64()));
+        }
+        header_ok = true;
+      }
+      run.memory.Charge(splits.size() * 8);
+    }
+
+    FullCycleAnswer Search(const AirQuery& query) {
+      // Without splits there is no region mapping; ArcFlag cannot run.
+      if (!header_ok) return {};
+      std::optional<graph::Graph> gr = run.RebuildGraph(std::move(coords));
+      if (!gr.has_value()) return {};
+
+      auto kd = partition::KdTreePartitioner::FromSplits(splits);
+      std::vector<graph::RegionId> node_region(gr->num_nodes());
+      for (graph::NodeId v = 0; v < gr->num_nodes(); ++v) {
+        node_region[v] = kd->RegionOf(gr->Coord(v));
+      }
+      const uint32_t regions = method.num_regions;
+      algo::ArcFlagIndex idx = algo::ArcFlagIndex::MakeEmpty(
+          gr->num_arcs(), regions, std::move(node_region));
+      run.memory.Charge(idx.MemoryBytes());
+      const size_t bytes_per_arc = 2 * static_cast<size_t>(regions);
+      for (const broadcast::ReceivedSegment& seg : flags) {
+        const size_t first_arc = (seg.segment_id - 1) * kFlagChunkArcs;
+        const size_t arcs_in_chunk = seg.payload.size() / bytes_per_arc;
+        for (size_t i = 0; i < arcs_in_chunk; ++i) {
+          const size_t arc = first_arc + i;
+          const size_t off = i * bytes_per_arc;
+          if (!seg.RangeOk(off, off + bytes_per_arc)) {
+            // §6.2: a lost flag vector is assumed all-ones.
+            idx.SetAllFlags(arc);
+            continue;
+          }
+          for (uint32_t r = 0; r < regions; ++r) {
+            if (GetU16(seg.payload.data() + off + 2 * r) != 0) {
+              idx.SetArcFlag(arc, r);
+            }
+          }
+        }
+      }
+      size_t settled = 0;
+      const graph::Path path =
+          idx.Query(*gr, query.source, query.target, &settled);
+      return {path.dist, path.found()};
+    }
+
+    const ArcFlagMethod& method;
+    ClientRun& run;
+    // Moved into the rebuilt Graph, so not pooled; the edge list is.
+    std::vector<graph::Point> coords;
+    std::vector<double> splits;
+    std::vector<broadcast::ReceivedSegment> flags;
+    bool header_ok = false;
+  };
+};
+
 }  // namespace
 
-Result<std::unique_ptr<ArcFlagOnAir>> ArcFlagOnAir::Build(
+Result<std::unique_ptr<AirSystem>> BuildArcFlagOnAir(
     const graph::Graph& g, uint32_t num_regions, const BuildConfig& config) {
-  auto sys = std::unique_ptr<ArcFlagOnAir>(new ArcFlagOnAir());
-  sys->encoding_ = config.encoding;
-  sys->num_regions_ = num_regions;
-  sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
-  sys->num_arcs_ = static_cast<uint32_t>(g.num_arcs());
-
+  const ArcFlagMethod method{num_regions,
+                             static_cast<uint32_t>(g.num_nodes()),
+                             static_cast<uint32_t>(g.num_arcs())};
   AIRINDEX_ASSIGN_OR_RETURN(
       auto kd, partition::KdTreePartitioner::Build(g, num_regions));
-  sys->splits_ = kd.splits_bfs();
   partition::Partitioning part = kd.Partition(g);
 
-  const auto start = std::chrono::steady_clock::now();
+  device::Stopwatch sw;
   AIRINDEX_ASSIGN_OR_RETURN(
-      sys->index_,
-      algo::ArcFlagIndex::Build(g, part.node_region, num_regions));
-  sys->precompute_seconds_ =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+      auto index, algo::ArcFlagIndex::Build(g, part.node_region, num_regions));
+  const double precompute_seconds = sw.ElapsedMs() / 1000.0;
 
-  broadcast::CycleBuilder builder;
-  AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
-
+  std::vector<broadcast::Segment> aux;
   // Header: region count + node/arc counts + kd split values (the client
   // re-derives every node's region from these plus the coordinates).
   {
-    broadcast::Segment seg;
-    seg.type = broadcast::SegmentType::kAuxData;
-    seg.id = kHeaderSegment;
-    PutU16(&seg.payload, static_cast<uint16_t>(num_regions));
-    PutU32(&seg.payload, sys->num_nodes_);
-    PutU32(&seg.payload, sys->num_arcs_);
-    for (double s : sys->splits_) {
-      PutU64(&seg.payload, std::bit_cast<uint64_t>(s));
+    std::vector<uint8_t>& out = AddAuxSegment(&aux, kHeaderSegment);
+    PutU16(&out, static_cast<uint16_t>(num_regions));
+    PutU32(&out, method.num_nodes);
+    PutU32(&out, method.num_arcs);
+    for (double s : kd.splits_bfs()) {
+      PutU64(&out, std::bit_cast<uint64_t>(s));
     }
-    builder.Add(std::move(seg));
   }
-
   // Flag vectors in CSR arc order, one u16 per region (see
   // ArcFlagIndex::BytesPerArc for the sizing rationale).
-  const size_t bytes_per_arc = sys->index_.BytesPerArc();
-  for (uint32_t first = 0; first < g.num_arcs(); first += kFlagChunkArcs) {
-    broadcast::Segment seg;
-    seg.type = broadcast::SegmentType::kAuxData;
-    seg.id = 1 + first / kFlagChunkArcs;
-    const uint32_t last =
-        std::min<uint32_t>(first + kFlagChunkArcs, sys->num_arcs_);
-    seg.payload.reserve(static_cast<size_t>(last - first) * bytes_per_arc);
+  const size_t bytes_per_arc = index.BytesPerArc();
+  for (uint32_t first = 0; first < method.num_arcs; first += kFlagChunkArcs) {
+    std::vector<uint8_t>& out =
+        AddAuxSegment(&aux, 1 + first / kFlagChunkArcs);
+    const uint32_t last = std::min(first + kFlagChunkArcs, method.num_arcs);
+    out.reserve(static_cast<size_t>(last - first) * bytes_per_arc);
     for (uint32_t a = first; a < last; ++a) {
       for (uint32_t r = 0; r < num_regions; ++r) {
-        PutU16(&seg.payload, sys->index_.ArcAllowed(a, r) ? 1 : 0);
-      }
-    }
-    builder.Add(std::move(seg));
-  }
-  AIRINDEX_ASSIGN_OR_RETURN(sys->cycle_, std::move(builder).Finalize(
-                                             /*require_index=*/false));
-  return sys;
-}
-
-device::QueryMetrics ArcFlagOnAir::RunQuery(
-    const broadcast::BroadcastChannel& channel, const AirQuery& query,
-    const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
-  QueryScratch& s = run.scratch();
-
-  // Collected network data (node-id addressed) and raw flag chunks. The
-  // coordinates are moved into the rebuilt Graph below, so they cannot be
-  // pooled; the edge list can.
-  std::vector<graph::Point> coords(num_nodes_);
-  s.edges.reserve(num_arcs_);
-  std::vector<double> splits;
-  struct FlagChunk {
-    uint32_t first_arc;
-    std::vector<uint8_t> bytes;
-    std::vector<bool> packet_ok;
-  };
-  std::vector<FlagChunk> flag_chunks;
-  bool header_ok = false;
-
-  Status receive_status = ReceiveFullCycleCached(
-      run.session, run.memory, &s.session,
-      [&options](const broadcast::ReceivedSegment& seg) {
-        if (seg.type == broadcast::SegmentType::kNetworkData) return true;
-        // A lost flag chunk degrades to all-ones (§6.2), but a lost header
-        // kills the query — the kd splits cannot be reconstructed. The
-        // opt-in repair closes that gap; off by default to preserve the
-        // paper's reproduction numbers.
-        return options.repair_header &&
-               seg.type == broadcast::SegmentType::kAuxData &&
-               seg.segment_id == kHeaderSegment;
-      },
-      [&](broadcast::ReceivedSegment& seg) {
-        device::Stopwatch sw;
-        if (seg.type == broadcast::SegmentType::kNetworkData) {
-          run.IngestEdges(seg, encoding_, coords);
-          run.memory.Release(seg.payload.size());
-        } else if (seg.segment_id == kHeaderSegment) {
-          if (seg.complete) {
-            ByteReader reader(seg.payload);
-            const uint16_t regions = reader.ReadU16();
-            reader.ReadU32();  // node count (known)
-            reader.ReadU32();  // arc count (known)
-            splits.reserve(regions - 1);
-            for (uint16_t i = 0; i + 1 < regions; ++i) {
-              splits.push_back(std::bit_cast<double>(reader.ReadU64()));
-            }
-            header_ok = true;
-          }
-          run.memory.Charge(splits.size() * 8);
-          run.memory.Release(seg.payload.size());
-        } else {
-          FlagChunk chunk;
-          chunk.first_arc = (seg.segment_id - 1) * kFlagChunkArcs;
-          chunk.bytes = std::move(seg.payload);
-          chunk.packet_ok = std::move(seg.packet_ok);
-          flag_chunks.push_back(std::move(chunk));
-          // Raw flag bytes are retained until query time; keep the charge.
-          // (Moving them out of the scratch costs those segments a fresh
-          // buffer next query — AF is not on the allocation-free target
-          // path since it rebuilds a full Graph per query anyway.)
-        }
-        run.cpu_ms += sw.ElapsedMs();
-      },
-      options.max_repair_cycles, &s.full_cycle);
-
-  device::Stopwatch sw;
-  // Rebuild the graph; CSR layout matches the server's (same edges, same
-  // per-node sort order).
-  auto built = graph::Graph::Build(std::move(coords), s.edges);
-  if (!built.ok() || !header_ok) {
-    // Without splits there is no region mapping; ArcFlag cannot run.
-    run.cpu_ms += sw.ElapsedMs();
-    return run.Finish(graph::kInfDist, false);
-  }
-  graph::Graph gr = std::move(built).value();
-  run.memory.Charge(gr.MemoryBytes());
-
-  auto kd = partition::KdTreePartitioner::FromSplits(splits);
-  std::vector<graph::RegionId> node_region(gr.num_nodes());
-  for (graph::NodeId v = 0; v < gr.num_nodes(); ++v) {
-    node_region[v] = kd->RegionOf(gr.Coord(v));
-  }
-
-  algo::ArcFlagIndex idx = algo::ArcFlagIndex::MakeEmpty(
-      gr.num_arcs(), num_regions_, std::move(node_region));
-  run.memory.Charge(idx.MemoryBytes());
-  const size_t bytes_per_arc = 2 * static_cast<size_t>(num_regions_);
-  for (const auto& chunk : flag_chunks) {
-    const size_t arcs_in_chunk = chunk.bytes.size() / bytes_per_arc;
-    for (size_t i = 0; i < arcs_in_chunk; ++i) {
-      const size_t arc = chunk.first_arc + i;
-      const size_t off = i * bytes_per_arc;
-      broadcast::ReceivedSegment probe;  // reuse RangeOk logic
-      probe.packet_ok = chunk.packet_ok;
-      if (!probe.RangeOk(off, off + bytes_per_arc)) {
-        // §6.2: a lost flag vector is assumed all-ones.
-        idx.SetAllFlags(arc);
-        continue;
-      }
-      for (uint32_t r = 0; r < num_regions_; ++r) {
-        if (GetU16(chunk.bytes.data() + off + 2 * r) != 0) {
-          idx.SetArcFlag(arc, r);
-        }
+        PutU16(&out, index.ArcAllowed(a, r) ? 1 : 0);
       }
     }
   }
-
-  size_t settled = 0;
-  graph::Path path = idx.Query(gr, query.source, query.target, &settled);
-  run.cpu_ms += sw.ElapsedMs();
-  return run.Finish(path.dist, receive_status.ok() && path.found());
+  return MakeFullCycleSystem(g, config, method, std::move(aux),
+                             precompute_seconds);
 }
 
 }  // namespace airindex::core

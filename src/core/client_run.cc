@@ -1,6 +1,7 @@
 #include "core/client_run.h"
 
 #include "core/decoded_slot_cache.h"
+#include "core/region_data.h"
 
 namespace airindex::core {
 
@@ -50,6 +51,60 @@ void ClientRun::IngestEdges(const broadcast::ReceivedSegment& seg,
     }
   }
   memory.Charge(added * 12 + record_count * 20);
+}
+
+std::optional<graph::Graph> ClientRun::RebuildGraph(
+    std::vector<graph::Point>&& coords) {
+  auto built = graph::Graph::Build(std::move(coords), scratch_->edges);
+  if (!built.ok()) return std::nullopt;
+  memory.Charge(built->MemoryBytes());
+  return std::move(built).value();
+}
+
+bool ClientRun::IngestRegion(const broadcast::ReceivedSegment& seg,
+                             broadcast::CycleEncoding encoding) {
+  QueryScratch& s = *scratch_;
+  const bool valid = MemoValidate(s.decode_cache, seg, [&] {
+    return ValidateRegionData(seg.payload, encoding).ok();
+  });
+  if (!valid) return false;
+  PartialGraph& pg = s.partial_graph;
+  const size_t before = pg.MemoryBytes();
+  auto cursor = RegionDataView(seg.payload, encoding).records();
+  while (cursor.Next(&s.record)) pg.AddRecord(s.record);
+  memory.Charge(pg.MemoryBytes() - before);
+  return true;
+}
+
+bool ClientRun::IngestRegionPair(const broadcast::ReceivedSegment& cross,
+                                 const broadcast::ReceivedSegment* local,
+                                 broadcast::CycleEncoding encoding,
+                                 SuperEdgeProcessor* collapse) {
+  if (collapse == nullptr) {
+    if (!IngestRegion(cross, encoding)) return false;
+    if (local != nullptr) IngestRegion(*local, encoding);
+    return true;
+  }
+  auto cross_data = DecodeRegionData(cross.payload, encoding);
+  if (!cross_data.ok()) return false;
+  RegionData region = std::move(cross_data).value();
+  if (local != nullptr) {
+    auto local_data = DecodeRegionData(local->payload, encoding);
+    if (local_data.ok()) {
+      for (auto& rec : local_data->records) {
+        region.records.push_back(std::move(rec));
+      }
+    }
+  }
+  const size_t decoded =
+      region.records.size() * 24 + region.border.size() * 4;
+  const size_t overlay_before = collapse->MemoryBytes();
+  memory.Charge(decoded);
+  collapse->AddRegion(region);
+  memory.Release(decoded);
+  memory.Release(overlay_before);
+  memory.Charge(collapse->MemoryBytes());
+  return true;
 }
 
 device::QueryMetrics ClientRun::Finish(graph::Dist distance, bool ok) {

@@ -9,8 +9,10 @@
 #include "broadcast/serialization.h"
 #include "core/air_system.h"
 #include "core/query_scratch.h"
+#include "core/super_edge.h"
 #include "device/memory_tracker.h"
 #include "device/metrics.h"
+#include "graph/graph.h"
 #include "graph/types.h"
 
 namespace airindex::core {
@@ -45,6 +47,30 @@ class ClientRun {
   void IngestEdges(const broadcast::ReceivedSegment& seg,
                    broadcast::CycleEncoding encoding,
                    std::vector<graph::Point>& coords);
+
+  /// Rebuilds a graph::Graph from `coords` and the scratch's edge list
+  /// (AF, SPQ, HiTi) and charges its size; nullopt when the received
+  /// records do not form a graph.
+  std::optional<graph::Graph> RebuildGraph(std::vector<graph::Point>&& coords);
+
+  /// Decodes one region segment (EB, NR, kNN, range) into the scratch's
+  /// PartialGraph, charging the graph's growth. Returns whether the
+  /// segment was valid; an invalid one adds no record. Releasing the
+  /// payload and counting the region are the caller's.
+  bool IngestRegion(const broadcast::ReceivedSegment& seg,
+                    broadcast::CycleEncoding encoding);
+
+  /// Ingests one EB/NR region: its cross segment and, when `local` is
+  /// non-null, its local segment. With `collapse` set, the region is
+  /// collapsed into super-edges instead (§6.1 memory-bound processing):
+  /// the decoded records are charged while the overlay absorbs them, and
+  /// the overlay's growth stays charged. Returns whether the cross
+  /// segment was valid; a region whose cross segment is invalid adds
+  /// nothing, whatever its local segment holds.
+  bool IngestRegionPair(const broadcast::ReceivedSegment& cross,
+                        const broadcast::ReceivedSegment* local,
+                        broadcast::CycleEncoding encoding,
+                        SuperEdgeProcessor* collapse);
 
   /// Fills `metrics` from the session, the heap tracker and the session
   /// cache, and returns it.

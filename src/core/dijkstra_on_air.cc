@@ -1,47 +1,42 @@
-#include "core/dijkstra_on_air.h"
-
 #include "algo/dijkstra.h"
-#include "core/client_run.h"
-#include "core/cycle_common.h"
-#include "core/full_cycle.h"
+#include "core/full_cycle_system.h"
 
 namespace airindex::core {
+namespace {
 
-Result<std::unique_ptr<DijkstraOnAir>> DijkstraOnAir::Build(
+/// DJ: the client searches the received network with plain Dijkstra.
+struct DijkstraMethod {
+  static constexpr std::string_view kName = "DJ";
+  static constexpr bool kRebuildsGraph = false;
+
+  bool RepairAux(const broadcast::ReceivedSegment&,
+                 const ClientOptions&) const {
+    return true;  // DJ airs no aux data
+  }
+
+  struct Query {
+    Query(const DijkstraMethod&, ClientRun& run) : run(run) {}
+
+    void OnAux(broadcast::ReceivedSegment&) {}
+
+    FullCycleAnswer Search(const AirQuery& query) {
+      QueryScratch& s = run.scratch();
+      algo::DijkstraSearch(s.partial_graph, query.source, query.target,
+                           KnownEdgeFilter{&s.partial_graph}, s.search);
+      const graph::Dist dist = s.search.DistTo(query.target);
+      return {dist, dist != graph::kInfDist};
+    }
+
+    ClientRun& run;
+  };
+};
+
+}  // namespace
+
+Result<std::unique_ptr<AirSystem>> BuildDijkstraOnAir(
     const graph::Graph& g, const BuildConfig& config) {
-  auto sys = std::unique_ptr<DijkstraOnAir>(new DijkstraOnAir());
-  sys->encoding_ = config.encoding;
-  broadcast::CycleBuilder builder;
-  AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
-  AIRINDEX_ASSIGN_OR_RETURN(sys->cycle_, std::move(builder).Finalize(
-                                             /*require_index=*/false));
-  return sys;
-}
-
-device::QueryMetrics DijkstraOnAir::RunQuery(
-    const broadcast::BroadcastChannel& channel, const AirQuery& query,
-    const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
-  QueryScratch& s = run.scratch();
-  Status receive_status = ReceiveFullCycleCached(
-      run.session, run.memory, &s.session,
-      [](const broadcast::ReceivedSegment&) {
-        return true;  // all data is adjacency
-      },
-      [&](broadcast::ReceivedSegment& seg) {
-        device::Stopwatch sw;
-        run.IngestRecords(seg, encoding_);
-        run.memory.Release(seg.payload.size());
-        run.cpu_ms += sw.ElapsedMs();
-      },
-      options.max_repair_cycles, &s.full_cycle);
-
-  device::Stopwatch sw;
-  algo::DijkstraSearch(s.partial_graph, query.source, query.target,
-                       KnownEdgeFilter{&s.partial_graph}, s.search);
-  const graph::Dist dist = s.search.DistTo(query.target);
-  run.cpu_ms += sw.ElapsedMs();
-  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
+  return MakeFullCycleSystem(g, config, DijkstraMethod{}, {},
+                             /*precompute_seconds=*/0.0);
 }
 
 }  // namespace airindex::core

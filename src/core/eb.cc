@@ -344,58 +344,14 @@ device::QueryMetrics EbSystem::RunQuery(
               return ahead(a) < ahead(b);
             });
 
-  PartialGraph& pg = s.partial_graph;
   SuperEdgeProcessor super(query.source, query.target);
-  size_t super_mem = 0;
-
-  auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local,
-                           bool has_local) {
+  SuperEdgeProcessor* collapse = options.memory_bound ? &super : nullptr;
+  auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local) {
     device::Stopwatch sw;
-    if (options.memory_bound) {
-      // §6.1: collapse into super-edges, drop the region data.
-      auto cross_data = DecodeRegionData(cross.payload, encoding_);
-      if (!cross_data.ok()) return;
-      RegionData region = std::move(cross_data).value();
-      if (has_local) {
-        auto local_data = DecodeRegionData(local->payload, encoding_);
-        if (local_data.ok()) {
-          for (auto& rec : local_data->records) {
-            region.records.push_back(std::move(rec));
-          }
-        }
-      }
-      const size_t decoded =
-          region.records.size() * 24 + region.border.size() * 4;
-      run.memory.Charge(decoded);
-      super.AddRegion(region);
-      run.memory.Release(decoded);
-      run.memory.Release(super_mem);
-      super_mem = super.MemoryBytes();
-      run.memory.Charge(super_mem);
-    } else {
-      // Allocation-free path: validate (all-or-nothing, like the old
-      // wholesale decode) and stream records straight into the pool.
-      const bool cross_valid = MemoValidate(s.decode_cache, cross, [&] {
-        return ValidateRegionData(cross.payload, encoding_).ok();
-      });
-      if (!cross_valid) return;
-      const size_t before = pg.MemoryBytes();
-      RegionDataView view(cross.payload, encoding_);
-      auto cursor = view.records();
-      while (cursor.Next(&s.record)) pg.AddRecord(s.record);
-      const bool local_valid =
-          has_local && MemoValidate(s.decode_cache, *local, [&] {
-            return ValidateRegionData(local->payload, encoding_).ok();
-          });
-      if (local_valid) {
-        RegionDataView local_view(local->payload, encoding_);
-        auto local_cursor = local_view.records();
-        while (local_cursor.Next(&s.record)) pg.AddRecord(s.record);
-      }
-      run.memory.Charge(pg.MemoryBytes() - before);
-    }
+    // A region whose cross segment is invalid stays charged and uncounted.
+    if (!run.IngestRegionPair(cross, local, encoding_, collapse)) return;
     run.memory.Release(cross.payload.size());
-    if (has_local) run.memory.Release(local->payload.size());
+    if (local != nullptr) run.memory.Release(local->payload.size());
     ++run.metrics.regions_received;
     run.cpu_ms += sw.ElapsedMs();
   };
@@ -443,7 +399,7 @@ device::QueryMetrics EbSystem::RunQuery(
       if (cache_on && want_local && !local_cached) {
         s.session.Store(d.local_start, *local);
       }
-      ingest_region(*cross, local, want_local);
+      ingest_region(*cross, local);
       s.segments.Recycle(cross);
       if (local != nullptr) s.segments.Recycle(local);
     } else {
@@ -468,7 +424,7 @@ device::QueryMetrics EbSystem::RunQuery(
         s.session.Store(st.cross_start, *st.cross);
         if (st.want_local) s.session.Store(st.local_start, *st.local);
       }
-      ingest_region(*st.cross, st.local, st.want_local);
+      ingest_region(*st.cross, st.local);
     }
   }
 
@@ -478,12 +434,39 @@ device::QueryMetrics EbSystem::RunQuery(
   if (options.memory_bound) {
     dist = super.Solve();
   } else {
+    const PartialGraph& pg = s.partial_graph;
     algo::DijkstraSearch(pg, query.source, query.target,
                          KnownEdgeFilter{&pg}, s.search);
     dist = s.search.DistTo(query.target);
   }
   run.cpu_ms += sw_search.ElapsedMs();
   return run.Finish(dist, dist != graph::kInfDist);
+}
+
+std::optional<EbTuneIn> TuneInEbIndex(ClientRun& run,
+                                      const graph::Point& source_coord,
+                                      int max_repair_cycles) {
+  ReceivedSegment index_seg;
+  const std::optional<uint32_t> index_start =
+      broadcast::ReceiveIndexCopy(run.session, 64, &index_seg);
+  if (!index_start.has_value()) return std::nullopt;
+  if (!index_seg.complete &&
+      !RepairSegment(run.session, *index_start, &index_seg,
+                     max_repair_cycles)) {
+    return std::nullopt;
+  }
+  run.memory.Charge(index_seg.payload.size());
+
+  device::Stopwatch sw;
+  EbTuneIn tune_in;
+  if (!EbIndex::Decode(index_seg.payload, &tune_in.index).ok()) {
+    return std::nullopt;
+  }
+  auto kd = partition::KdTreePartitioner::FromSplits(tune_in.index.splits);
+  if (!kd.ok()) return std::nullopt;
+  tune_in.source_region = kd->RegionOf(source_coord);
+  run.cpu_ms += sw.ElapsedMs();
+  return tune_in;
 }
 
 }  // namespace airindex::core

@@ -2,6 +2,7 @@
 #define AIRINDEX_CORE_EB_H_
 
 #include <memory>
+#include <optional>
 
 #include "common/result.h"
 #include "core/air_system.h"
@@ -52,6 +53,7 @@ class EbSystem : public AirSystem {
   /// The replication factor chosen by the (1,m) analysis.
   uint32_t interleaving_m() const { return interleaving_m_; }
   const EbIndex& index() const { return index_; }
+  broadcast::CycleEncoding encoding() const { return encoding_; }
 
  private:
   EbSystem() = default;
@@ -62,6 +64,22 @@ class EbSystem : public AirSystem {
   uint32_t interleaving_m_ = 1;
   double precompute_seconds_ = 0.0;
 };
+
+class ClientRun;
+
+/// What a §8 extension client (kNN, range) knows after tuning in to an EB
+/// broadcast: the decoded global index and the source's region.
+struct EbTuneIn {
+  EbIndex index;
+  graph::RegionId source_region = 0;
+};
+
+/// The §8 clients' tune-in: receives the next index copy on `run`'s
+/// session, repairs the whole copy, charges it, decodes it and maps
+/// `source_coord` onto its region. nullopt when no usable index arrives.
+std::optional<EbTuneIn> TuneInEbIndex(ClientRun& run,
+                                      const graph::Point& source_coord,
+                                      int max_repair_cycles);
 
 }  // namespace airindex::core
 

@@ -7,9 +7,7 @@
 #include "algo/dijkstra.h"
 #include "core/client_run.h"
 #include "core/partial_graph.h"
-#include "core/region_data.h"
 #include "core/repair.h"
-#include "partition/kd_tree.h"
 
 namespace airindex::core {
 
@@ -23,35 +21,19 @@ KnnResult RunKnnQuery(const EbSystem& system,
     result.metrics.ok = true;
     return result;
   }
-  const broadcast::BroadcastCycle& cycle = system.cycle();
-  ClientRun run(channel, TuneInPosition(cycle, query.tune_phase), options,
-                /*scratch=*/nullptr);
-
-  // Receive the next index copy.
-  broadcast::ReceivedSegment index_seg;
-  const std::optional<uint32_t> index_start =
-      broadcast::ReceiveIndexCopy(run.session, 64, &index_seg);
-  if (!index_start.has_value()) return result;
-  if (!index_seg.complete &&
-      !RepairSegment(run.session, *index_start, &index_seg,
-                     options.max_repair_cycles)) {
-    return result;
-  }
-  run.memory.Charge(index_seg.payload.size());
-
-  device::Stopwatch sw_setup;
-  auto index_or = EbIndex::Decode(index_seg.payload);
-  if (!index_or.ok()) return result;
-  const EbIndex index = std::move(index_or).value();
-  auto kd = partition::KdTreePartitioner::FromSplits(index.splits);
-  if (!kd.ok()) return result;
-  const graph::RegionId rs = kd->RegionOf(query.source_coord);
-  const uint32_t R = index.num_regions;
+  ClientRun run(channel, TuneInPosition(system.cycle(), query.tune_phase),
+                options, /*scratch=*/nullptr);
+  const std::optional<EbTuneIn> tune_in =
+      TuneInEbIndex(run, query.source_coord, options.max_repair_cycles);
+  if (!tune_in.has_value()) return result;
+  const EbIndex& index = tune_in->index;
+  const graph::RegionId rs = tune_in->source_region;
 
   // Regions by ascending minimum network distance from Rs (Rs itself
   // first, at distance 0).
+  device::Stopwatch sw_setup;
   std::vector<std::pair<graph::Dist, graph::RegionId>> frontier;
-  for (graph::RegionId r = 0; r < R; ++r) {
+  for (graph::RegionId r = 0; r < index.num_regions; ++r) {
     const graph::Dist d = r == rs ? 0 : index.MinDist(rs, r);
     if (d != graph::kInfDist) frontier.emplace_back(d, r);
   }
@@ -64,7 +46,7 @@ KnnResult RunKnnQuery(const EbSystem& system,
   }
   run.cpu_ms += sw_setup.ElapsedMs();
 
-  PartialGraph pg;
+  const PartialGraph& pg = run.scratch().partial_graph;
   auto receive_region = [&](graph::RegionId r) {
     const EbIndex::RegionDir& d = index.dir[r];
     std::deque<broadcast::ReceivedSegment> segs;
@@ -79,13 +61,8 @@ KnnResult RunKnnQuery(const EbSystem& system,
       RepairAllSegments(run.session, pending, options.max_repair_cycles);
     }
     device::Stopwatch sw;
-    for (auto& seg : segs) {
-      auto data = DecodeRegionData(seg.payload);
-      if (data.ok()) {
-        const size_t before = pg.MemoryBytes();
-        for (const auto& rec : data->records) pg.AddRecord(rec);
-        run.memory.Charge(pg.MemoryBytes() - before);
-      }
+    for (const auto& seg : segs) {
+      run.IngestRegion(seg, system.encoding());
       run.memory.Release(seg.payload.size());
     }
     ++run.metrics.regions_received;

@@ -212,9 +212,8 @@ device::QueryMetrics NrSystem::RunQuery(
 
   bool found = false;
 
-  PartialGraph& pg = s.partial_graph;
   SuperEdgeProcessor super(query.source, query.target);
-  size_t super_mem = 0;
+  SuperEdgeProcessor* collapse = options.memory_bound ? &super : nullptr;
   std::vector<uint8_t>& received = s.region_flags;
   received.clear();
   bool mapped = false;
@@ -225,59 +224,13 @@ device::QueryMetrics NrSystem::RunQuery(
   bool index_charged = false;
   bool progressed = false;
 
-  auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local,
-                           bool has_local) {
+  auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local) {
     device::Stopwatch sw;
-    if (options.memory_bound) {
-      // §6.1 path: the region is materialized, collapsed into super-edges,
-      // and dropped; decode allocations are part of the modeled charge.
-      auto cross_or = DecodeRegionData(cross.payload, encoding_);
-      if (cross_or.ok()) {
-        RegionData region = std::move(cross_or).value();
-        if (has_local) {
-          auto local_or = DecodeRegionData(local->payload, encoding_);
-          if (local_or.ok()) {
-            for (auto& rec : local_or->records) {
-              region.records.push_back(std::move(rec));
-            }
-          }
-        }
-        const size_t decoded =
-            region.records.size() * 24 + region.border.size() * 4;
-        run.memory.Charge(decoded);
-        super.AddRegion(region);
-        run.memory.Release(decoded);
-        run.memory.Release(super_mem);
-        super_mem = super.MemoryBytes();
-        run.memory.Charge(super_mem);
-        ++run.metrics.regions_received;
-      }
-    } else {
-      // Allocation-free path: validate (all-or-nothing, like the old
-      // wholesale decode) and stream records straight into the pool.
-      const bool cross_valid = MemoValidate(s.decode_cache, cross, [&] {
-        return ValidateRegionData(cross.payload, encoding_).ok();
-      });
-      if (cross_valid) {
-        const size_t before = pg.MemoryBytes();
-        RegionDataView view(cross.payload, encoding_);
-        auto cursor = view.records();
-        while (cursor.Next(&s.record)) pg.AddRecord(s.record);
-        const bool local_valid =
-            has_local && MemoValidate(s.decode_cache, *local, [&] {
-              return ValidateRegionData(local->payload, encoding_).ok();
-            });
-        if (local_valid) {
-          RegionDataView local_view(local->payload, encoding_);
-          auto local_cursor = local_view.records();
-          while (local_cursor.Next(&s.record)) pg.AddRecord(s.record);
-        }
-        run.memory.Charge(pg.MemoryBytes() - before);
-        ++run.metrics.regions_received;
-      }
+    if (run.IngestRegionPair(cross, local, encoding_, collapse)) {
+      ++run.metrics.regions_received;
     }
     run.memory.Release(cross.payload.size());
-    if (has_local) run.memory.Release(local->payload.size());
+    if (local != nullptr) run.memory.Release(local->payload.size());
     run.cpu_ms += sw.ElapsedMs();
   };
 
@@ -417,7 +370,7 @@ device::QueryMetrics NrSystem::RunQuery(
     fetch_segment(next_idx_start, next_idx);
 
     if (cross->complete && (!want_local || local->complete)) {
-      ingest_region(*cross, local, want_local);
+      ingest_region(*cross, local);
       s.segments.Recycle(cross);
       if (local != nullptr) s.segments.Recycle(local);
     } else {
@@ -450,7 +403,7 @@ device::QueryMetrics NrSystem::RunQuery(
         s.session.Store(st.cross_start, *st.cross);
         if (st.want_local) s.session.Store(st.local_start, *st.local);
       }
-      ingest_region(*st.cross, st.local, st.want_local);
+      ingest_region(*st.cross, st.local);
     }
   }
 
@@ -461,6 +414,7 @@ device::QueryMetrics NrSystem::RunQuery(
     if (options.memory_bound) {
       dist = super.Solve();
     } else {
+      const PartialGraph& pg = s.partial_graph;
       algo::DijkstraSearch(pg, query.source, query.target,
                            KnownEdgeFilter{&pg}, s.search);
       dist = s.search.DistTo(query.target);

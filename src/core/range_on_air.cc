@@ -5,12 +5,9 @@
 #include <optional>
 
 #include "algo/dijkstra.h"
-#include "common/byte_io.h"
 #include "core/client_run.h"
 #include "core/partial_graph.h"
-#include "core/region_data.h"
 #include "core/repair.h"
-#include "partition/kd_tree.h"
 
 namespace airindex::core {
 
@@ -23,33 +20,17 @@ RangeResult RunRangeQuery(const EbSystem& system,
   ClientRun run(channel, TuneInPosition(cycle, query.tune_phase), options,
                 /*scratch=*/nullptr);
   const uint32_t total = cycle.total_packets();
-
-  // Receive the next index copy (same protocol as the shortest-path
-  // client; simple whole-copy repair is enough here).
-  broadcast::ReceivedSegment index_seg;
-  const std::optional<uint32_t> index_start =
-      broadcast::ReceiveIndexCopy(run.session, 64, &index_seg);
-  if (!index_start.has_value()) return result;
-  if (!index_seg.complete &&
-      !RepairSegment(run.session, *index_start, &index_seg,
-                     options.max_repair_cycles)) {
-    return result;
-  }
-  run.memory.Charge(index_seg.payload.size());
-
-  device::Stopwatch sw_prune;
-  auto index_or = EbIndex::Decode(index_seg.payload);
-  if (!index_or.ok()) return result;
-  const EbIndex index = std::move(index_or).value();
-  auto kd = partition::KdTreePartitioner::FromSplits(index.splits);
-  if (!kd.ok()) return result;
-  const graph::RegionId rs = kd->RegionOf(query.source_coord);
-  const uint32_t R = index.num_regions;
+  const std::optional<EbTuneIn> tune_in =
+      TuneInEbIndex(run, query.source_coord, options.max_repair_cycles);
+  if (!tune_in.has_value()) return result;
+  const EbIndex& index = tune_in->index;
+  const graph::RegionId rs = tune_in->source_region;
 
   // Pruning: regions whose minimum border distance from Rs exceeds the
   // radius can neither contain results nor carry a qualifying path.
+  device::Stopwatch sw_prune;
   std::vector<graph::RegionId> needed;
-  for (graph::RegionId r = 0; r < R; ++r) {
+  for (graph::RegionId r = 0; r < index.num_regions; ++r) {
     if (r == rs || index.MinDist(rs, r) <= query.radius) needed.push_back(r);
   }
   run.cpu_ms += sw_prune.ElapsedMs();
@@ -66,16 +47,11 @@ RangeResult RunRangeQuery(const EbSystem& system,
               return ahead(a) < ahead(b);
             });
 
-  PartialGraph pg;
   std::deque<broadcast::ReceivedSegment> stash;
   std::vector<PendingRepair> pending;
-  auto ingest = [&](broadcast::ReceivedSegment&& seg) {
+  auto ingest = [&](const broadcast::ReceivedSegment& seg) {
     device::Stopwatch sw;
-    auto data = DecodeRegionData(seg.payload);
-    if (data.ok()) {
-      const size_t before = pg.MemoryBytes();
-      for (const auto& rec : data->records) pg.AddRecord(rec);
-      run.memory.Charge(pg.MemoryBytes() - before);
+    if (run.IngestRegion(seg, system.encoding())) {
       ++run.metrics.regions_received;
     }
     run.memory.Release(seg.payload.size());
@@ -89,7 +65,7 @@ RangeResult RunRangeQuery(const EbSystem& system,
       broadcast::ReceivedSegment seg = ReceiveSegmentAt(run.session, start);
       run.memory.Charge(seg.payload.size());
       if (seg.complete) {
-        ingest(std::move(seg));
+        ingest(seg);
       } else {
         stash.push_back(std::move(seg));
         pending.push_back({start, &stash.back()});
@@ -98,13 +74,14 @@ RangeResult RunRangeQuery(const EbSystem& system,
   }
   if (!pending.empty()) {
     RepairAllSegments(run.session, pending, options.max_repair_cycles);
-    for (auto& seg : stash) ingest(std::move(seg));
+    for (const auto& seg : stash) ingest(seg);
   }
 
   // Dijkstra over the received union; nodes beyond the radius are filtered
   // out afterwards (the search could early-terminate at the radius, but
   // the received subgraph is already radius-pruned by region).
   device::Stopwatch sw_search;
+  const PartialGraph& pg = run.scratch().partial_graph;
   algo::SearchTree full = algo::DijkstraSearch(
       pg, query.source, graph::kInvalidNode, KnownEdgeFilter{&pg});
   for (graph::NodeId v = 0; v < full.dist.size(); ++v) {

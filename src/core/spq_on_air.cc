@@ -1,12 +1,9 @@
-#include "core/spq_on_air.h"
-
+#include <algorithm>
 #include <bit>
-#include <chrono>
 
+#include "algo/spq.h"
 #include "common/byte_io.h"
-#include "core/client_run.h"
-#include "core/cycle_common.h"
-#include "core/full_cycle.h"
+#include "core/full_cycle_system.h"
 
 namespace airindex::core {
 namespace {
@@ -60,108 +57,90 @@ int32_t DecodeCellImpl(const std::vector<uint8_t>& buf, size_t* pos,
   return idx;
 }
 
+/// SPQ: the quadtree-guided search over a graph::Graph rebuilt from the
+/// received network.
+struct SpqMethod {
+  static constexpr std::string_view kName = "SPQ";
+  static constexpr bool kRebuildsGraph = true;
+
+  uint32_t num_nodes = 0;
+
+  bool RepairAux(const broadcast::ReceivedSegment&,
+                 const ClientOptions&) const {
+    return true;  // a tree with holes cannot be decoded
+  }
+
+  struct Query {
+    Query(const SpqMethod& method, ClientRun& run)
+        : n(method.num_nodes), run(run), coords(n), trees(n) {}
+
+    void OnAux(broadcast::ReceivedSegment& seg) {
+      if (seg.segment_id == kHeaderSegment) {
+        if (seg.complete && seg.payload.size() >= 32) {
+          root[0] = std::bit_cast<double>(GetU64(seg.payload.data()));
+          root[1] = std::bit_cast<double>(GetU64(seg.payload.data() + 8));
+          root[2] = std::bit_cast<double>(GetU64(seg.payload.data() + 16));
+          header_ok = true;
+        }
+        return;
+      }
+      const uint32_t first = (seg.segment_id - 1) * kTreesPerChunk;
+      size_t pos = 0;
+      for (uint32_t v = first; v < n && pos < seg.payload.size(); ++v) {
+        algo::SpqIndex::Tree tree;
+        if (DecodeCellImpl(seg.payload, &pos, &tree) < 0) break;
+        run.memory.Charge(tree.nodes.size() * sizeof(algo::SpqIndex::QtNode));
+        trees[v] = std::move(tree);
+      }
+    }
+
+    FullCycleAnswer Search(const AirQuery& query) {
+      if (!header_ok) return {};
+      std::optional<graph::Graph> gr = run.RebuildGraph(std::move(coords));
+      if (!gr.has_value()) return {};
+      algo::SpqIndex idx = algo::SpqIndex::FromParts(root[0], root[1], root[2],
+                                                     std::move(trees));
+      const graph::Dist dist = idx.Query(*gr, query.source, query.target).dist;
+      return {dist, dist != graph::kInfDist};
+    }
+
+    const uint32_t n;
+    ClientRun& run;
+    // Moved into the rebuilt Graph / SpqIndex, so not pooled; the edge
+    // list is.
+    std::vector<graph::Point> coords;
+    std::vector<algo::SpqIndex::Tree> trees;
+    double root[3] = {0, 0, 1};
+    bool header_ok = false;
+  };
+};
+
 }  // namespace
 
-Result<std::unique_ptr<SpqOnAir>> SpqOnAir::Build(const graph::Graph& g,
-                                                  const BuildConfig& config) {
-  auto sys = std::unique_ptr<SpqOnAir>(new SpqOnAir());
-  sys->encoding_ = config.encoding;
-  sys->num_nodes_ = static_cast<uint32_t>(g.num_nodes());
-
-  const auto start = std::chrono::steady_clock::now();
-  AIRINDEX_ASSIGN_OR_RETURN(auto idx, algo::SpqIndex::Build(g));
-  sys->index_ = std::make_unique<algo::SpqIndex>(std::move(idx));
-  sys->precompute_seconds_ =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  broadcast::CycleBuilder builder;
-  AppendNetworkSegments(g, &builder, kNetworkChunkNodes, config.encoding);
-
-  {
-    broadcast::Segment seg;
-    seg.type = broadcast::SegmentType::kAuxData;
-    seg.id = kHeaderSegment;
-    PutU64(&seg.payload, std::bit_cast<uint64_t>(sys->index_->root_min_x()));
-    PutU64(&seg.payload, std::bit_cast<uint64_t>(sys->index_->root_min_y()));
-    PutU64(&seg.payload, std::bit_cast<uint64_t>(sys->index_->root_size()));
-    PutU32(&seg.payload, sys->num_nodes_);
-    PutU32(&seg.payload, kTreesPerChunk);
-    builder.Add(std::move(seg));
-  }
-  for (uint32_t first = 0; first < g.num_nodes(); first += kTreesPerChunk) {
-    broadcast::Segment seg;
-    seg.type = broadcast::SegmentType::kAuxData;
-    seg.id = 1 + first / kTreesPerChunk;
-    const uint32_t last =
-        std::min<uint32_t>(first + kTreesPerChunk, sys->num_nodes_);
-    for (uint32_t v = first; v < last; ++v) {
-      EncodeTree(sys->index_->TreeOf(v), &seg.payload);
-    }
-    builder.Add(std::move(seg));
-  }
-  AIRINDEX_ASSIGN_OR_RETURN(sys->cycle_, std::move(builder).Finalize(
-                                             /*require_index=*/false));
-  return sys;
-}
-
-device::QueryMetrics SpqOnAir::RunQuery(
-    const broadcast::BroadcastChannel& channel, const AirQuery& query,
-    const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
-  QueryScratch& s = run.scratch();
-
-  // coords/trees are moved into the rebuilt Graph / SpqIndex below, so
-  // they cannot be pooled; the edge list can.
-  std::vector<graph::Point> coords(num_nodes_);
-  std::vector<algo::SpqIndex::Tree> trees(num_nodes_);
-  double root[3] = {0, 0, 1};
-  bool header_ok = false;
-
-  Status receive_status = ReceiveFullCycleCached(
-      run.session, run.memory, &s.session,
-      [](const broadcast::ReceivedSegment&) { return true; },
-      [&](broadcast::ReceivedSegment& seg) {
-        device::Stopwatch sw;
-        if (seg.type == broadcast::SegmentType::kNetworkData) {
-          run.IngestEdges(seg, encoding_, coords);
-        } else if (seg.segment_id == kHeaderSegment) {
-          if (seg.complete && seg.payload.size() >= 32) {
-            root[0] = std::bit_cast<double>(GetU64(seg.payload.data()));
-            root[1] = std::bit_cast<double>(GetU64(seg.payload.data() + 8));
-            root[2] = std::bit_cast<double>(GetU64(seg.payload.data() + 16));
-            header_ok = true;
-          }
-        } else {
-          const uint32_t first = (seg.segment_id - 1) * kTreesPerChunk;
-          size_t pos = 0;
-          for (uint32_t v = first; v < num_nodes_ && pos < seg.payload.size();
-               ++v) {
-            algo::SpqIndex::Tree tree;
-            if (DecodeCellImpl(seg.payload, &pos, &tree) < 0) break;
-            run.memory.Charge(tree.nodes.size() *
-                              sizeof(algo::SpqIndex::QtNode));
-            trees[v] = std::move(tree);
-          }
-        }
-        run.memory.Release(seg.payload.size());
-        run.cpu_ms += sw.ElapsedMs();
-      },
-      options.max_repair_cycles, &s.full_cycle);
-
+Result<std::unique_ptr<AirSystem>> BuildSpqOnAir(const graph::Graph& g,
+                                                 const BuildConfig& config) {
+  const auto n = static_cast<uint32_t>(g.num_nodes());
   device::Stopwatch sw;
-  graph::Dist dist = graph::kInfDist;
-  auto built = graph::Graph::Build(std::move(coords), s.edges);
-  if (built.ok() && header_ok) {
-    graph::Graph gr = std::move(built).value();
-    run.memory.Charge(gr.MemoryBytes());
-    algo::SpqIndex idx = algo::SpqIndex::FromParts(root[0], root[1], root[2],
-                                                   std::move(trees));
-    graph::Path path = idx.Query(gr, query.source, query.target);
-    dist = path.dist;
+  AIRINDEX_ASSIGN_OR_RETURN(auto idx, algo::SpqIndex::Build(g));
+  const double precompute_seconds = sw.ElapsedMs() / 1000.0;
+
+  std::vector<broadcast::Segment> aux;
+  {
+    std::vector<uint8_t>& out = AddAuxSegment(&aux, kHeaderSegment);
+    PutU64(&out, std::bit_cast<uint64_t>(idx.root_min_x()));
+    PutU64(&out, std::bit_cast<uint64_t>(idx.root_min_y()));
+    PutU64(&out, std::bit_cast<uint64_t>(idx.root_size()));
+    PutU32(&out, n);
+    PutU32(&out, kTreesPerChunk);
   }
-  run.cpu_ms += sw.ElapsedMs();
-  return run.Finish(dist, receive_status.ok() && dist != graph::kInfDist);
+  for (uint32_t first = 0; first < n; first += kTreesPerChunk) {
+    std::vector<uint8_t>& out =
+        AddAuxSegment(&aux, 1 + first / kTreesPerChunk);
+    const uint32_t last = std::min(first + kTreesPerChunk, n);
+    for (uint32_t v = first; v < last; ++v) EncodeTree(idx.TreeOf(v), &out);
+  }
+  return MakeFullCycleSystem(g, config, SpqMethod{n}, std::move(aux),
+                             precompute_seconds);
 }
 
 }  // namespace airindex::core

@@ -4,77 +4,95 @@
 #include <mutex>
 #include <shared_mutex>
 
-#include "core/arcflag_on_air.h"
-#include "core/dijkstra_on_air.h"
 #include "core/eb.h"
-#include "core/hiti_on_air.h"
-#include "core/landmark_on_air.h"
+#include "core/full_cycle_system.h"
 #include "core/nr.h"
-#include "core/spq_on_air.h"
 
 namespace airindex::core {
 
 namespace {
 
-/// The one parameter that distinguishes two builds of the same method
-/// (region count or landmark count; 0 for the parameterless methods).
-uint32_t MethodKnob(std::string_view method, const SystemParams& params) {
-  if (method == "NR") return params.nr_regions;
-  if (method == "EB") return params.eb_regions;
-  if (method == "AF") return params.arcflag_regions;
-  if (method == "LD") return params.landmarks;
-  if (method == "HiTi") return params.hiti_regions;
-  return 0;  // DJ, SPQ
+template <typename System>
+Result<std::unique_ptr<AirSystem>> Upcast(
+    Result<std::unique_ptr<System>> built) {
+  if (!built.ok()) return built.status();
+  return std::unique_ptr<AirSystem>(std::move(built).value());
+}
+
+/// One evaluated method: its paper name, the parameter that distinguishes
+/// two builds of it (null for the parameterless DJ and SPQ), the flag that
+/// must be set for it to join the default fleet (null = always), and its
+/// builder, which takes that parameter's value.
+struct MethodEntry {
+  std::string_view name;
+  uint32_t SystemParams::*knob;
+  bool SystemParams::*include;
+  Result<std::unique_ptr<AirSystem>> (*build)(const graph::Graph&, uint32_t,
+                                              const BuildConfig&);
+};
+
+/// The methods in the paper's Table 1 order.
+constexpr MethodEntry kMethods[] = {
+    {"DJ", nullptr, nullptr,
+     [](const graph::Graph& g, uint32_t, const BuildConfig& config) {
+       return BuildDijkstraOnAir(g, config);
+     }},
+    {"NR", &SystemParams::nr_regions, nullptr,
+     [](const graph::Graph& g, uint32_t regions, const BuildConfig& config) {
+       return Upcast(NrSystem::Build(g, regions, config));
+     }},
+    {"EB", &SystemParams::eb_regions, nullptr,
+     [](const graph::Graph& g, uint32_t regions, const BuildConfig& config) {
+       return Upcast(EbSystem::Build(g, regions, config));
+     }},
+    {"LD", &SystemParams::landmarks, nullptr,
+     [](const graph::Graph& g, uint32_t landmarks,
+        const BuildConfig& config) {
+       return BuildLandmarkOnAir(g, landmarks, /*seed=*/17, config);
+     }},
+    {"AF", &SystemParams::arcflag_regions, nullptr,
+     [](const graph::Graph& g, uint32_t regions, const BuildConfig& config) {
+       return BuildArcFlagOnAir(g, regions, config);
+     }},
+    {"SPQ", nullptr, &SystemParams::include_spq,
+     [](const graph::Graph& g, uint32_t, const BuildConfig& config) {
+       return BuildSpqOnAir(g, config);
+     }},
+    {"HiTi", &SystemParams::hiti_regions, &SystemParams::include_hiti,
+     [](const graph::Graph& g, uint32_t regions, const BuildConfig& config) {
+       return BuildHiTiOnAir(g, regions, config);
+     }},
+};
+
+const MethodEntry* FindMethod(std::string_view name) {
+  for (const MethodEntry& m : kMethods) {
+    if (m.name == name) return &m;
+  }
+  return nullptr;
+}
+
+uint32_t KnobOf(const MethodEntry& m, const SystemParams& params) {
+  return m.knob != nullptr ? params.*m.knob : 0;
 }
 
 }  // namespace
 
 std::vector<std::string_view> SystemNames(const SystemParams& params) {
-  std::vector<std::string_view> names = {"DJ", "NR", "EB", "LD", "AF"};
-  if (params.include_spq) names.push_back("SPQ");
-  if (params.include_hiti) names.push_back("HiTi");
+  std::vector<std::string_view> names;
+  for (const MethodEntry& m : kMethods) {
+    if (m.include == nullptr || params.*m.include) names.push_back(m.name);
+  }
   return names;
 }
 
 Result<std::unique_ptr<AirSystem>> BuildSystem(const graph::Graph& g,
                                                std::string_view method,
                                                const SystemParams& params) {
-  if (method == "DJ") {
-    AIRINDEX_ASSIGN_OR_RETURN(auto sys, DijkstraOnAir::Build(g, params.build));
-    return std::unique_ptr<AirSystem>(std::move(sys));
+  const MethodEntry* m = FindMethod(method);
+  if (m == nullptr) {
+    return Status::InvalidArgument("unknown method " + std::string(method));
   }
-  if (method == "NR") {
-    AIRINDEX_ASSIGN_OR_RETURN(
-        auto sys, NrSystem::Build(g, params.nr_regions, params.build));
-    return std::unique_ptr<AirSystem>(std::move(sys));
-  }
-  if (method == "EB") {
-    AIRINDEX_ASSIGN_OR_RETURN(
-        auto sys, EbSystem::Build(g, params.eb_regions, params.build));
-    return std::unique_ptr<AirSystem>(std::move(sys));
-  }
-  if (method == "LD") {
-    AIRINDEX_ASSIGN_OR_RETURN(
-        auto sys, LandmarkOnAir::Build(g, params.landmarks, /*seed=*/17,
-                                       params.build));
-    return std::unique_ptr<AirSystem>(std::move(sys));
-  }
-  if (method == "AF") {
-    AIRINDEX_ASSIGN_OR_RETURN(
-        auto sys,
-        ArcFlagOnAir::Build(g, params.arcflag_regions, params.build));
-    return std::unique_ptr<AirSystem>(std::move(sys));
-  }
-  if (method == "SPQ") {
-    AIRINDEX_ASSIGN_OR_RETURN(auto sys, SpqOnAir::Build(g, params.build));
-    return std::unique_ptr<AirSystem>(std::move(sys));
-  }
-  if (method == "HiTi") {
-    AIRINDEX_ASSIGN_OR_RETURN(
-        auto sys, HiTiOnAir::Build(g, params.hiti_regions, params.build));
-    return std::unique_ptr<AirSystem>(std::move(sys));
-  }
-  return Status::InvalidArgument("unknown method " + std::string(method));
+  return m->build(g, KnobOf(*m, params), params.build);
 }
 
 Result<std::vector<std::unique_ptr<AirSystem>>> BuildSystems(
@@ -109,8 +127,9 @@ SystemRegistry& SystemRegistry::Global() {
 Result<std::shared_ptr<const AirSystem>> SystemRegistry::Get(
     const graph::Graph& g, std::string_view method,
     const SystemParams& params) {
+  const MethodEntry* m = FindMethod(method);
   Key key{&g, g.num_nodes(), g.num_arcs(), std::string(method),
-          MethodKnob(method, params), params.build.encoding};
+          m != nullptr ? KnobOf(*m, params) : 0, params.build.encoding};
   {
     // Fast path: a shared lock suffices for a hit while the cache is under
     // capacity — recency stamps only matter once an eviction is possible,

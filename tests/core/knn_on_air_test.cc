@@ -38,12 +38,13 @@ std::vector<std::pair<graph::NodeId, graph::Dist>> TrueKnn(
 }
 
 class KnnOnAirTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, uint32_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<uint64_t, uint32_t, broadcast::CycleEncoding>> {};
 
 TEST_P(KnnOnAirTest, DistancesMatchGroundTruth) {
-  auto [seed, k] = GetParam();
+  auto [seed, k, encoding] = GetParam();
   graph::Graph g = SmallNetwork(400, 640, seed);
-  auto eb = EbSystem::Build(g, 8).value();
+  auto eb = EbSystem::Build(g, 8, {.encoding = encoding}).value();
   broadcast::BroadcastChannel channel(&eb->cycle(), 0.0);
   auto pois = PickPois(g, 0.03, seed + 1);
   ASSERT_GE(pois.size(), k);
@@ -70,7 +71,9 @@ TEST_P(KnnOnAirTest, DistancesMatchGroundTruth) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndK, KnnOnAirTest,
     ::testing::Combine(::testing::Values(401u, 402u),
-                       ::testing::Values(1u, 3u, 8u)));
+                       ::testing::Values(1u, 3u, 8u),
+                       ::testing::Values(broadcast::CycleEncoding::kLegacy,
+                                         broadcast::CycleEncoding::kCompact)));
 
 TEST(KnnOnAirTest, KZeroIsEmpty) {
   graph::Graph g = SmallNetwork(200, 320, 410);

@@ -24,11 +24,14 @@ std::set<std::pair<graph::NodeId, graph::Dist>> TrueRange(
   return out;
 }
 
-class RangeOnAirTest : public ::testing::TestWithParam<uint64_t> {};
+class RangeOnAirTest
+    : public ::testing::TestWithParam<
+          std::tuple<uint64_t, broadcast::CycleEncoding>> {};
 
 TEST_P(RangeOnAirTest, MatchesGroundTruthAcrossRadii) {
-  graph::Graph g = SmallNetwork(400, 640, GetParam());
-  auto eb = EbSystem::Build(g, 8).value();
+  auto [seed, encoding] = GetParam();
+  graph::Graph g = SmallNetwork(400, 640, seed);
+  auto eb = EbSystem::Build(g, 8, {.encoding = encoding}).value();
   broadcast::BroadcastChannel channel(&eb->cycle(), 0.0);
 
   algo::SearchTree probe = algo::DijkstraAll(g, 0);
@@ -37,7 +40,7 @@ TEST_P(RangeOnAirTest, MatchesGroundTruthAcrossRadii) {
 
   for (double frac : {0.05, 0.2, 0.5}) {
     RangeQuery q;
-    q.source = static_cast<graph::NodeId>(GetParam() % g.num_nodes());
+    q.source = static_cast<graph::NodeId>(seed % g.num_nodes());
     q.source_coord = g.Coord(q.source);
     q.radius = static_cast<graph::Dist>(static_cast<double>(max_d) * frac);
     q.tune_phase = 0.3;
@@ -49,8 +52,11 @@ TEST_P(RangeOnAirTest, MatchesGroundTruthAcrossRadii) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RangeOnAirTest,
-                         ::testing::Values(301, 302, 303));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RangeOnAirTest,
+    ::testing::Combine(::testing::Values(301u, 302u, 303u),
+                       ::testing::Values(broadcast::CycleEncoding::kLegacy,
+                                         broadcast::CycleEncoding::kCompact)));
 
 TEST(RangeOnAirTest, ZeroRadiusReturnsOnlySource) {
   graph::Graph g = SmallNetwork(200, 320, 310);
