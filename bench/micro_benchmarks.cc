@@ -109,7 +109,8 @@ void BM_BorderPrecompute(benchmark::State& state) {
     benchmark::DoNotOptimize(pre.min_rr.data());
   }
 }
-BENCHMARK(BM_BorderPrecompute)->Arg(16)->Arg(32)->Unit(
+// 128 regions take two mask words per region pair.
+BENCHMARK(BM_BorderPrecompute)->Arg(16)->Arg(32)->Arg(128)->Unit(
     benchmark::kMillisecond);
 
 void BM_NetworkGeneration(benchmark::State& state) {

@@ -28,9 +28,14 @@ namespace airindex::algo {
 /// order is a pure function of the inputs: ties on (f, g) break by node id
 /// (SearchWorkspace::AStarItem), so any heap implementation produces the
 /// same search.
-template <typename G, typename LowerBound>
+///
+/// `edge_filter(from, arc)` returning false skips an arc, as in
+/// DijkstraSearch; the broadcast Landmark client uses it to ignore arcs to
+/// nodes it never received.
+template <typename G, typename LowerBound, typename EdgeFilter = AllEdges>
 void AStarSearch(const G& g, NodeId source, NodeId target,
-                 LowerBound lower_bound, SearchWorkspace& ws) {
+                 LowerBound lower_bound, SearchWorkspace& ws,
+                 EdgeFilter edge_filter = {}) {
   ws.BeginSearch(g.num_nodes());
   auto& heap = ws.astar_heap();
   ws.TryImprove(source, 0, kInvalidNode);
@@ -43,6 +48,7 @@ void AStarSearch(const G& g, NodeId source, NodeId target,
     ws.CountSettled();
     if (v == target) break;
     for (const auto& arc : g.OutArcs(v)) {
+      if (!edge_filter(v, arc)) continue;
       const Dist nd = gv + arc.weight;
       if (ws.TryImprove(arc.to, nd, v)) {
         heap.push({nd + static_cast<Dist>(lower_bound(arc.to)), nd, arc.to});

@@ -73,11 +73,19 @@ void DijkstraSearch(const G& g, NodeId source, NodeId target,
 /// Single-source Dijkstra that stops once every node in `targets` is
 /// settled, run inside the caller's workspace. Used by the border-pair
 /// pre-computation, where only border-to-border distances matter.
+///
+/// When `settle_order` is non-null it is cleared and receives every settled
+/// node in settle order. A node's tree parent always precedes it there, so
+/// one pass over the order visits the shortest-path tree top-down and a
+/// reverse pass visits it bottom-up. Every target with a finite distance
+/// is settled (the search only stops early once all targets are).
 template <typename G>
 void DijkstraToTargets(const G& g, NodeId source,
                        const std::vector<NodeId>& targets,
-                       SearchWorkspace& ws) {
+                       SearchWorkspace& ws,
+                       std::vector<NodeId>* settle_order = nullptr) {
   ws.BeginSearch(g.num_nodes());
+  if (settle_order != nullptr) settle_order->clear();
   size_t remaining = 0;
   for (NodeId t : targets) {
     if (ws.MarkPending(t)) ++remaining;
@@ -91,6 +99,7 @@ void DijkstraToTargets(const G& g, NodeId source,
     heap.pop();
     if (d != ws.TentativeDist(v)) continue;
     ws.CountSettled();
+    if (settle_order != nullptr) settle_order->push_back(v);
     if (ws.IsPending(v)) {
       ws.ClearPending(v);
       --remaining;

@@ -47,7 +47,8 @@ class BroadcastCycle {
   PacketView PacketAt(uint32_t pos) const;
 
   /// Position of the first packet of the next index segment at or after
-  /// `pos` (cyclic). Returns `pos` itself if an index segment starts there.
+  /// `pos` (cyclic). Returns `pos` itself if an index segment starts there,
+  /// or if the cycle has no index segment. One table lookup per call.
   uint32_t NextIndexStart(uint32_t pos) const;
 
   /// Total serialized bytes (for reporting).
@@ -56,8 +57,17 @@ class BroadcastCycle {
  private:
   friend class CycleBuilder;
 
+  /// Marks a next_index_after_ entry of a cycle without index segments.
+  static constexpr uint32_t kNoIndex = UINT32_MAX;
+
+  /// NextIndexStart for a `pos` inside segment `si`.
+  uint32_t NextIndexStartIn(size_t si, uint32_t pos) const;
+
   std::vector<Segment> segments_;
   std::vector<uint32_t> starts_;  // per segment, plus sentinel
+  /// Per segment i: the start of the first index segment among i+1, i+2,
+  /// ..., i+n (cyclic, so i itself comes last), or kNoIndex.
+  std::vector<uint32_t> next_index_after_;
   uint32_t total_packets_ = 0;
 };
 

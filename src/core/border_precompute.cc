@@ -8,6 +8,7 @@
 #include "algo/dijkstra.h"
 #include "algo/search_workspace.h"
 #include "common/thread_pool.h"
+#include "partition/kd_tree.h"
 
 namespace airindex::core {
 
@@ -70,88 +71,130 @@ Result<BorderPrecompute> ComputeBorderPrecompute(
   pre.cross_border.assign(g.num_nodes(), 0);
 
   const std::vector<graph::NodeId>& B = pre.borders.border_nodes;
+  const std::vector<graph::RegionId>& node_region = pre.part.node_region;
+  const std::vector<uint8_t>& is_border = pre.borders.is_border;
+  const size_t n = g.num_nodes();
   std::mutex merge_mu;
 
-  // One search workspace + one set of row accumulators per worker thread,
+  // One search workspace + one set of scratch arrays per worker thread,
   // reused across every source the worker claims: the border-pair stage
-  // runs |B| single-source searches, so the per-search O(n) allocate/
-  // zero-fill it used to pay dominated server pre-computation. Sources are
-  // claimed as chunks of kSourceChunk from a shared atomic cursor (work
-  // stealing) rather than a static per-worker slice: per-source cost is
-  // heavily skewed (dense downtown regions cost far more than rural ones),
-  // and under a static split the unlucky worker serialized the tail of the
-  // build. Merging is commutative (min/max/or), so results are
-  // byte-identical regardless of which worker ran which source — pinned by
-  // core.precompute_parallel_test.
+  // runs |B| single-source searches, so per-search O(n) allocation would
+  // dominate. Sources are claimed as chunks of kSourceChunk from a shared
+  // atomic cursor (work stealing) rather than a static per-worker slice:
+  // per-source cost is heavily skewed (dense downtown regions cost far
+  // more than rural ones). Merging is commutative (min/max/or), so results
+  // are byte-identical regardless of which worker ran which source —
+  // pinned by core.precompute_parallel_test and core.precompute_golden_test.
   constexpr size_t kSourceChunk = 64;
   struct WorkerState {
     algo::SearchWorkspace ws;
+    /// Settle order of the current search.
+    std::vector<graph::NodeId> order;
+    /// `words` per node: the regions on the tree path source -> v.
+    std::vector<uint64_t> path_masks;
+    /// Backward-pass flag: v has a reached border node in its subtree.
+    /// All zero between sources.
+    std::vector<uint8_t> need;
+    /// This worker's cross-border marks, OR-merged after the sweep.
+    std::vector<uint8_t> cross;
     std::vector<graph::Dist> row_min;
     std::vector<graph::Dist> row_max;
     std::vector<uint64_t> row_masks;
-    std::vector<graph::NodeId> marked;
   };
   std::vector<WorkerState> workers(ResolveWorkers(B.size(), num_threads));
 
   ParallelForChunked(
       B.size(), kSourceChunk,
       [&](unsigned worker, size_t begin, size_t end) {
-        WorkerState& state = workers[worker];
+        WorkerState& st = workers[worker];
+        if (st.cross.empty()) {
+          st.path_masks.resize(n * words);
+          st.need.assign(n, 0);
+          st.cross.assign(n, 0);
+        }
         for (size_t bi = begin; bi < end; ++bi) {
           const graph::NodeId b = B[bi];
-          const graph::RegionId rb = pre.part.node_region[b];
-          algo::DijkstraToTargets(g, b, B, state.ws);
+          const graph::RegionId rb = node_region[b];
+          algo::DijkstraToTargets(g, b, B, st.ws, &st.order);
 
-          // Per-source accumulators for row rb.
-          std::vector<graph::Dist>& row_min = state.row_min;
-          std::vector<graph::Dist>& row_max = state.row_max;
-          std::vector<uint64_t>& row_masks = state.row_masks;
-          std::vector<graph::NodeId>& marked = state.marked;
-          row_min.assign(R, graph::kInfDist);
-          row_max.assign(R, 0);
-          row_masks.assign(static_cast<size_t>(R) * words, 0);
-          marked.clear();
-
-          for (graph::NodeId b2 : B) {
-            const graph::Dist d = state.ws.DistTo(b2);
-            if (d == graph::kInfDist) continue;
-            const graph::RegionId r2 = pre.part.node_region[b2];
-            row_min[r2] = std::min(row_min[r2], d);
-            row_max[r2] = std::max(row_max[r2], d);
-            // Walk the recorded path b -> b2, collecting traversed regions
-            // and (for inter-region pairs per the paper; we include all
-            // pairs, a safe superset) marking nodes as cross-border.
-            uint64_t* mask =
-                row_masks.data() + static_cast<size_t>(r2) * words;
-            for (graph::NodeId v = b2; v != graph::kInvalidNode;
-                 v = state.ws.ParentOf(v)) {
-              const graph::RegionId rv = pre.part.node_region[v];
-              mask[rv / 64] |= uint64_t{1} << (rv % 64);
-              marked.push_back(v);
-              if (v == b) break;
+          // Forward pass over the shortest-path tree: a parent settles
+          // before its children, so its path mask is final when read.
+          for (graph::NodeId v : st.order) {
+            uint64_t* mask = st.path_masks.data() + v * words;
+            const graph::NodeId parent = st.ws.ParentOf(v);
+            if (parent == graph::kInvalidNode) {
+              std::fill(mask, mask + words, 0);
+            } else {
+              const uint64_t* up = st.path_masks.data() + parent * words;
+              std::copy(up, up + words, mask);
             }
+            const graph::RegionId rv = node_region[v];
+            mask[rv / 64] |= uint64_t{1} << (rv % 64);
+          }
+
+          // Row rb: distances and traversed regions of every recorded
+          // path b -> b2.
+          st.row_min.assign(R, graph::kInfDist);
+          st.row_max.assign(R, 0);
+          st.row_masks.assign(static_cast<size_t>(R) * words, 0);
+          for (graph::NodeId b2 : B) {
+            const graph::Dist d = st.ws.DistTo(b2);
+            if (d == graph::kInfDist) continue;
+            const graph::RegionId r2 = node_region[b2];
+            st.row_min[r2] = std::min(st.row_min[r2], d);
+            st.row_max[r2] = std::max(st.row_max[r2], d);
+            const uint64_t* path = st.path_masks.data() + b2 * words;
+            uint64_t* row =
+                st.row_masks.data() + static_cast<size_t>(r2) * words;
+            for (size_t w = 0; w < words; ++w) row[w] |= path[w];
+          }
+
+          // Backward pass: a node lies on some recorded border-pair path
+          // (for inter-region pairs per the paper; we include all pairs, a
+          // safe superset) iff its subtree holds a reached border node.
+          // Every settled border node is a reached target.
+          for (auto it = st.order.rbegin(); it != st.order.rend(); ++it) {
+            const graph::NodeId v = *it;
+            if (!st.need[v] && !is_border[v]) continue;
+            st.need[v] = 0;
+            st.cross[v] = 1;
+            const graph::NodeId parent = st.ws.ParentOf(v);
+            if (parent != graph::kInvalidNode) st.need[parent] = 1;
           }
 
           std::lock_guard<std::mutex> lock(merge_mu);
           for (graph::RegionId r2 = 0; r2 < R; ++r2) {
             const size_t cell = static_cast<size_t>(rb) * R + r2;
-            pre.min_rr[cell] = std::min(pre.min_rr[cell], row_min[r2]);
-            pre.max_rr[cell] = std::max(pre.max_rr[cell], row_max[r2]);
+            pre.min_rr[cell] = std::min(pre.min_rr[cell], st.row_min[r2]);
+            pre.max_rr[cell] = std::max(pre.max_rr[cell], st.row_max[r2]);
             const size_t base = cell * words;
             for (size_t w = 0; w < words; ++w) {
               pre.traversed[base + w] |=
-                  row_masks[static_cast<size_t>(r2) * words + w];
+                  st.row_masks[static_cast<size_t>(r2) * words + w];
             }
           }
-          for (graph::NodeId v : marked) pre.cross_border[v] = 1;
         }
       },
       num_threads);
+
+  for (const WorkerState& st : workers) {
+    for (size_t v = 0; v < st.cross.size(); ++v) {
+      pre.cross_border[v] |= st.cross[v];
+    }
+  }
 
   pre.seconds = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
                     .count();
   return pre;
+}
+
+Result<BorderPrecompute> ComputeKdBorderPrecompute(const graph::Graph& g,
+                                                   uint32_t num_regions,
+                                                   unsigned num_threads) {
+  AIRINDEX_ASSIGN_OR_RETURN(
+      auto kd, partition::KdTreePartitioner::Build(g, num_regions));
+  return ComputeBorderPrecompute(g, kd.Partition(g), num_threads);
 }
 
 }  // namespace airindex::core

@@ -24,6 +24,13 @@ namespace airindex::core {
 /// we additionally include same-region border pairs, which defines the
 /// diagonal of A and keeps both methods exact when source and destination
 /// fall into the same region (see DESIGN.md).
+///
+/// The "recorded" path of a border pair is the one in the source's
+/// shortest-path tree. The traversal sets and the cross-border marks are
+/// read off that tree in two sweeps over the search's settle order (see
+/// docs/perf.md), not by walking each target's parent chain. EB and NR
+/// built through core::SystemRegistry share one instance per (graph,
+/// region count) and report the same precompute_seconds().
 struct BorderPrecompute {
   partition::Partitioning part;
   partition::BorderInfo borders;
@@ -88,6 +95,12 @@ struct BorderPrecompute {
 Result<BorderPrecompute> ComputeBorderPrecompute(
     const graph::Graph& g, partition::Partitioning part,
     unsigned num_threads = 0);
+
+/// The pre-computation EB and NR are built from: `g` split into
+/// `num_regions` kd-tree regions, then ComputeBorderPrecompute.
+Result<BorderPrecompute> ComputeKdBorderPrecompute(const graph::Graph& g,
+                                                   uint32_t num_regions,
+                                                   unsigned num_threads = 0);
 
 }  // namespace airindex::core
 

@@ -21,6 +21,10 @@ struct DijkstraMethod {
 
     FullCycleAnswer Search(const AirQuery& query) {
       QueryScratch& s = run.scratch();
+      if (!s.partial_graph.Has(query.source) ||
+          !s.partial_graph.Has(query.target)) {
+        return {};  // an endpoint's record was lost for good
+      }
       algo::DijkstraSearch(s.partial_graph, query.source, query.target,
                            KnownEdgeFilter{&s.partial_graph}, s.search);
       const graph::Dist dist = s.search.DistTo(query.target);

@@ -72,10 +72,8 @@ Result<std::unique_ptr<EbSystem>> EbSystem::Build(const graph::Graph& g,
                                                   uint32_t num_regions,
                                                   const BuildConfig& config) {
   AIRINDEX_ASSIGN_OR_RETURN(
-      auto kd, partition::KdTreePartitioner::Build(g, num_regions));
-  AIRINDEX_ASSIGN_OR_RETURN(
-      auto pre, ComputeBorderPrecompute(g, kd.Partition(g),
-                                        config.precompute_threads));
+      auto pre, ComputeKdBorderPrecompute(g, num_regions,
+                                          config.precompute_threads));
   return BuildFromPrecompute(g, pre, config);
 }
 
@@ -433,7 +431,9 @@ device::QueryMetrics EbSystem::RunQuery(
   graph::Dist dist = graph::kInfDist;
   if (options.memory_bound) {
     dist = super.Solve();
-  } else {
+  } else if (s.partial_graph.Has(query.source) &&
+             s.partial_graph.Has(query.target)) {
+    // An endpoint region lost for good leaves nothing to search.
     const PartialGraph& pg = s.partial_graph;
     algo::DijkstraSearch(pg, query.source, query.target,
                          KnownEdgeFilter{&pg}, s.search);

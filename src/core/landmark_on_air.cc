@@ -96,8 +96,13 @@ struct LandmarkMethod {
         return best;
       };
       QueryScratch& s = run.scratch();
+      if (!s.partial_graph.Has(query.source) ||
+          !s.partial_graph.Has(query.target)) {
+        return {};  // an endpoint's record was lost for good
+      }
       algo::AStarSearch(s.partial_graph, query.source, query.target,
-                        lower_bound, s.search);
+                        lower_bound, s.search,
+                        KnownEdgeFilter{&s.partial_graph});
       const graph::Dist dist = s.search.DistTo(query.target);
       return {dist, dist != graph::kInfDist};
     }

@@ -49,14 +49,12 @@ NrIndex::RegionGeometry ReadGeometry(const ReceivedSegment& seg, uint32_t R,
 Result<std::unique_ptr<NrSystem>> NrSystem::Build(const graph::Graph& g,
                                                   uint32_t num_regions,
                                                   const BuildConfig& config) {
-  if (num_regions > 256) {
+  if (num_regions > kMaxRegions) {
     return Status::InvalidArgument("NR supports at most 256 regions");
   }
   AIRINDEX_ASSIGN_OR_RETURN(
-      auto kd, partition::KdTreePartitioner::Build(g, num_regions));
-  AIRINDEX_ASSIGN_OR_RETURN(
-      auto pre, ComputeBorderPrecompute(g, kd.Partition(g),
-                                        config.precompute_threads));
+      auto pre, ComputeKdBorderPrecompute(g, num_regions,
+                                          config.precompute_threads));
   return BuildFromPrecompute(g, pre, config);
 }
 
@@ -64,7 +62,7 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
     const graph::Graph& g, const BorderPrecompute& pre,
     const BuildConfig& config) {
   const uint32_t R = pre.num_regions;
-  if (R > 256) {
+  if (R > kMaxRegions) {
     return Status::InvalidArgument("NR supports at most 256 regions");
   }
   auto sys = std::unique_ptr<NrSystem>(new NrSystem());
@@ -413,7 +411,9 @@ device::QueryMetrics NrSystem::RunQuery(
   if (mapped) {
     if (options.memory_bound) {
       dist = super.Solve();
-    } else {
+    } else if (s.partial_graph.Has(query.source) &&
+               s.partial_graph.Has(query.target)) {
+      // An endpoint region lost for good leaves nothing to search.
       const PartialGraph& pg = s.partial_graph;
       algo::DijkstraSearch(pg, query.source, query.target,
                            KnownEdgeFilter{&pg}, s.search);

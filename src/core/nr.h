@@ -30,7 +30,10 @@ namespace airindex::core {
 /// adjacent region is received anyway (§6.2).
 class NrSystem : public AirSystem {
  public:
-  /// `num_regions`: power of two, at most 256 (paper default 32).
+  /// Most regions an NR index can address (one byte per region id).
+  static constexpr uint32_t kMaxRegions = 256;
+
+  /// `num_regions`: power of two, at most kMaxRegions (paper default 32).
   static Result<std::unique_ptr<NrSystem>> Build(const graph::Graph& g,
                                                  uint32_t num_regions,
                                                  const BuildConfig& config = {});

@@ -15,6 +15,8 @@
 
 namespace airindex::core {
 
+struct BorderPrecompute;
+
 /// Tuning knobs of the evaluated methods (paper §7 defaults for the Germany
 /// network: ArcFlag 16 regions, EB 32, NR 32, Landmark 4 anchors).
 struct SystemParams {
@@ -67,6 +69,14 @@ using SharedSystems = std::vector<std::shared_ptr<const AirSystem>>;
 /// entries are only valid while the caller keeps the graph alive; call
 /// Clear() when discarding graphs wholesale (e.g. between networks of a
 /// memory-tight sweep).
+///
+/// EB and NR share one border pre-computation (§4.1, §5.1): the registry
+/// caches it per (graph, region count) and builds both through
+/// BuildFromPrecompute, so an NR,EB fleet at equal region counts pays for
+/// one precompute and both report the same precompute_seconds(). The
+/// precompute key leaves out the encoding and precompute_threads, which do
+/// not change it. BuildSystem and {Nr,Eb}System::Build stay cold: each
+/// computes its own.
 class SystemRegistry {
  public:
   /// The process-wide instance used by benches and the CLI.
@@ -84,12 +94,16 @@ class SystemRegistry {
   /// Number of cached systems.
   size_t size() const;
 
+  /// Number of cached EB/NR border pre-computations.
+  size_t precompute_count() const;
+
   /// Most cached systems kept at once (default kDefaultCapacity). When an
   /// insert pushes the cache past the cap, the least-recently-used entries
   /// are dropped — parameter sweeps that vary knobs/encodings/schedules
   /// across many graphs stop accumulating dead pre-computations. Shrinking
   /// the cap evicts immediately. Outstanding shared_ptrs keep evicted
-  /// systems alive; a later Get simply rebuilds.
+  /// systems alive; a later Get simply rebuilds. Cached pre-computations
+  /// are held to the same cap, counted apart from the systems.
   size_t capacity() const;
   void set_capacity(size_t capacity);
 
@@ -97,28 +111,41 @@ class SystemRegistry {
   /// and knob settings fits without any eviction.
   static constexpr size_t kDefaultCapacity = 256;
 
-  /// Drops every cached system.
+  /// Drops every cached system and pre-computation.
   void Clear();
 
-  /// Drops the cached systems of one graph (all methods/knobs). Callers
-  /// that own a graph with a narrower lifetime than the process — the
-  /// scenario runner, per-network bench loops — evict on teardown instead
-  /// of clearing other graphs' caches wholesale.
+  /// Drops the cached systems and pre-computations of one graph (all
+  /// methods/knobs). Callers that own a graph with a narrower lifetime
+  /// than the process — the scenario runner, per-network bench loops —
+  /// evict on teardown instead of clearing other graphs' caches wholesale.
   void Evict(const graph::Graph& g);
 
  private:
-  struct Key {
+  struct GraphKey {
     const graph::Graph* graph = nullptr;
     size_t nodes = 0;
     size_t arcs = 0;
+
+    bool operator==(const GraphKey&) const = default;
+  };
+  struct Key {
+    GraphKey graph;
     std::string method;
     uint32_t knob = 0;
     broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy;
 
     bool operator==(const Key&) const = default;
   };
+  struct PrecomputeKey {
+    GraphKey graph;
+    uint32_t regions = 0;
+
+    bool operator==(const PrecomputeKey&) const = default;
+  };
   struct KeyHash {
+    size_t operator()(const GraphKey& k) const;
     size_t operator()(const Key& k) const;
+    size_t operator()(const PrecomputeKey& k) const;
   };
 
   struct Entry {
@@ -126,9 +153,18 @@ class SystemRegistry {
     /// Last-touch stamp from use_tick_ (monotonic, under mu_).
     uint64_t tick = 0;
   };
+  struct PrecomputeEntry {
+    std::shared_ptr<const BorderPrecompute> pre;
+    uint64_t tick = 0;
+  };
 
-  /// Drops least-recently-used entries until size() <= capacity_.
-  /// Caller holds mu_ exclusively.
+  /// The cached border pre-computation of `g` at `regions` kd regions,
+  /// computed (without holding mu_) on miss.
+  Result<std::shared_ptr<const BorderPrecompute>> SharedPrecompute(
+      const graph::Graph& g, uint32_t regions, unsigned num_threads);
+
+  /// Drops least-recently-used systems and pre-computations until each
+  /// cache holds at most capacity_. Caller holds mu_ exclusively.
   void EvictOverCapacityLocked();
 
   /// Reader-writer lock: Get hits take only the shared side while the
@@ -138,6 +174,7 @@ class SystemRegistry {
   /// mutations take the exclusive side.
   mutable std::shared_mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> cache_;
+  std::unordered_map<PrecomputeKey, PrecomputeEntry, KeyHash> precomputes_;
   size_t capacity_ = kDefaultCapacity;
   uint64_t use_tick_ = 0;
 };

@@ -99,6 +99,70 @@ TEST(CycleTest, MultipleIndexCopies) {
   EXPECT_EQ(c.NextIndexStart(5), 0u);
 }
 
+/// The linear scan NextIndexStart used before its per-segment table: from
+/// the segment covering `pos`, walk the segments cyclically to the first
+/// index segment.
+uint32_t ScanNextIndexStart(const BroadcastCycle& c, uint32_t pos) {
+  const size_t n = c.num_segments();
+  const size_t si = c.SegmentAt(pos);
+  if (c.segment(si).is_index && c.SegmentStart(si) == pos) return pos;
+  for (size_t step = 1; step <= n; ++step) {
+    const size_t i = (si + step) % n;
+    if (c.segment(i).is_index) return c.SegmentStart(i);
+  }
+  return pos;
+}
+
+void ExpectTableMatchesScan(const BroadcastCycle& c) {
+  for (uint32_t pos = 0; pos < c.total_packets(); ++pos) {
+    const uint32_t expected = ScanNextIndexStart(c, pos);
+    EXPECT_EQ(c.NextIndexStart(pos), expected) << "pos " << pos;
+    const uint32_t offset = expected >= pos
+                                ? expected - pos
+                                : expected + c.total_packets() - pos;
+    EXPECT_EQ(c.PacketAt(pos).next_index_offset, offset) << "pos " << pos;
+  }
+}
+
+TEST(CycleTest, NextIndexTableMatchesScanWithoutIndex) {
+  CycleBuilder b;
+  b.Add(MakeSegment(SegmentType::kNetworkData, 0, 300));
+  b.Add(MakeSegment(SegmentType::kNetworkData, 1, 0));
+  b.Add(MakeSegment(SegmentType::kAuxData, 2, 250));
+  BroadcastCycle c = std::move(b).Finalize(/*require_index=*/false).value();
+  ExpectTableMatchesScan(c);
+  EXPECT_EQ(c.NextIndexStart(4), 4u);  // nowhere to point: pos itself
+}
+
+TEST(CycleTest, NextIndexTableMatchesScanWithOneIndex) {
+  // The lone index sits mid-cycle and spans several packets, so positions
+  // inside it wrap all the way round to its own start.
+  CycleBuilder b;
+  b.Add(MakeSegment(SegmentType::kNetworkData, 0, 300));
+  b.Add(MakeSegment(SegmentType::kGlobalIndex, 1, 350, true));
+  b.Add(MakeSegment(SegmentType::kNetworkData, 2, 100));
+  BroadcastCycle c = std::move(b).Finalize().value();
+  ExpectTableMatchesScan(c);
+  EXPECT_EQ(c.NextIndexStart(0), 3u);
+  EXPECT_EQ(c.NextIndexStart(4), 3u);  // mid-index: next copy is itself
+  EXPECT_EQ(c.NextIndexStart(6), 3u);  // past the last index: wraps
+}
+
+TEST(CycleTest, NextIndexTableMatchesScanWithSeveralIndexes) {
+  CycleBuilder b;
+  b.Add(MakeSegment(SegmentType::kLocalIndex, 0, 200, true));
+  b.Add(MakeSegment(SegmentType::kNetworkData, 1, 300));
+  b.Add(MakeSegment(SegmentType::kLocalIndex, 2, 150, true));
+  b.Add(MakeSegment(SegmentType::kLocalIndex, 3, 10, true));
+  b.Add(MakeSegment(SegmentType::kNetworkData, 4, 0));
+  b.Add(MakeSegment(SegmentType::kNetworkData, 5, 500));
+  b.Add(MakeSegment(SegmentType::kLocalIndex, 6, 120, true));
+  b.Add(MakeSegment(SegmentType::kNetworkData, 7, 90));
+  BroadcastCycle c = std::move(b).Finalize().value();
+  ASSERT_GT(c.total_packets(), 10u);
+  ExpectTableMatchesScan(c);
+}
+
 TEST(CycleTest, TotalPayloadBytes) {
   BroadcastCycle c = ThreeSegmentCycle();
   EXPECT_EQ(c.TotalPayloadBytes(), 750u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/astar.h"
 #include "algo/dijkstra.h"
 #include "broadcast/serialization.h"
 #include "testing/test_graphs.h"
@@ -66,6 +67,27 @@ TEST(PartialGraphTest, KnownEdgeFilterSkipsUnreceivedHeads) {
   algo::SearchTree tree =
       algo::DijkstraSearch(pg, 0, graph::kInvalidNode, KnownEdgeFilter{&pg});
   EXPECT_EQ(tree.settled, 1u);
+}
+
+TEST(PartialGraphTest, AStarFilterSkipsHeadsPastTheReceivedIds) {
+  // The search arrays span num_nodes(), one past the highest received id.
+  // Node 9 was never received, so relaxing 0 -> 9 would index past them.
+  PartialGraph pg;
+  broadcast::NodeRecord zero;
+  zero.id = 0;
+  zero.arcs = {{1, 2}, {9, 1}};
+  pg.AddRecord(zero);
+  broadcast::NodeRecord one;
+  one.id = 1;
+  one.arcs = {{0, 2}};
+  pg.AddRecord(one);
+  ASSERT_EQ(pg.num_nodes(), 2u);
+
+  algo::SearchWorkspace ws;
+  algo::AStarSearch(
+      pg, 0, 1, [](graph::NodeId) { return 0; }, ws, KnownEdgeFilter{&pg});
+  EXPECT_EQ(ws.DistTo(1), 2u);
+  EXPECT_EQ(ws.capacity(), 2u);
 }
 
 TEST(PartialGraphTest, MemoryGrowsWithContent) {

@@ -163,5 +163,43 @@ TEST(SystemsLossTest, MemoryBoundClientsSurviveLoss) {
   }
 }
 
+/// Heavy loss: a client may fail, but it must report the failure, never
+/// crash and never return a wrong distance. DJ, LD and NR used to search a
+/// partial graph that lacked the source or target record and write past
+/// its search arrays.
+class SystemsHeavyLossTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(SystemsHeavyLossTest, LostEndpointsFailCleanly) {
+  const double loss = GetParam();
+  graph::Graph g = SmallNetwork(350, 560, 701);
+  SystemParams params;
+  params.nr_regions = 8;
+  params.landmarks = 3;
+  auto w = workload::GenerateWorkload(g, 8, 702).value();
+  ClientOptions opts;
+  opts.max_repair_cycles = 2;
+  for (const char* method : {"DJ", "LD", "NR"}) {
+    auto sys = BuildSystem(g, method, params).value();
+    size_t failed = 0;
+    for (size_t i = 0; i < w.queries.size(); ++i) {
+      broadcast::BroadcastChannel channel(&sys->cycle(), loss, 703 + i);
+      const device::QueryMetrics m =
+          sys->RunQuery(channel, MakeAirQuery(g, w.queries[i]), opts);
+      if (m.ok) {
+        EXPECT_EQ(m.distance, w.queries[i].true_dist) << method;
+      } else {
+        ++failed;
+      }
+    }
+    EXPECT_GT(failed, 0u) << method << " loss=" << loss;
+    if (loss == 1.0) {
+      EXPECT_EQ(failed, w.queries.size()) << method;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HeavyLoss, SystemsHeavyLossTest,
+                         ::testing::Values(0.9, 1.0));
+
 }  // namespace
 }  // namespace airindex::core

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string_view>
+#include <thread>
+
 #include "core/systems.h"
 #include "testing/test_graphs.h"
 
@@ -130,6 +134,116 @@ TEST(SystemRegistryTest, ShrinkingCapacityEvictsImmediately) {
   // The survivor is the most recently used entry.
   EXPECT_EQ(registry.Get(g, "EB").value().get(), eb.get());
   EXPECT_EQ(registry.size(), 1u);
+}
+
+TEST(SystemRegistryTest, NrAndEbShareOnePrecompute) {
+  SystemRegistry registry;
+  graph::Graph g = SmallNetwork(300, 480, 21);
+  SystemParams params;
+  params.nr_regions = 8;
+  params.eb_regions = 8;
+
+  auto nr = registry.Get(g, "NR", params).value();
+  auto eb = registry.Get(g, "EB", params).value();
+  EXPECT_EQ(registry.size(), 2u);
+  EXPECT_EQ(registry.precompute_count(), 1u);
+  // One pre-computation, so one wall time reported by both.
+  EXPECT_EQ(nr->precompute_seconds(), eb->precompute_seconds());
+  EXPECT_GT(nr->precompute_seconds(), 0.0);
+
+  // The encoding and the precompute thread count change neither the
+  // precompute nor its key.
+  SystemParams other = params;
+  other.build.encoding = broadcast::CycleEncoding::kCompact;
+  other.build.precompute_threads = 2;
+  auto eb_compact = registry.Get(g, "EB", other).value();
+  EXPECT_EQ(registry.size(), 3u);
+  EXPECT_EQ(registry.precompute_count(), 1u);
+  EXPECT_EQ(eb_compact->precompute_seconds(), nr->precompute_seconds());
+}
+
+TEST(SystemRegistryTest, DifferentRegionCountsBuildTwoPrecomputes) {
+  SystemRegistry registry;
+  graph::Graph g = SmallNetwork(300, 480, 21);
+  SystemParams params;
+  params.nr_regions = 8;
+  params.eb_regions = 4;
+
+  ASSERT_TRUE(registry.Get(g, "NR", params).ok());
+  ASSERT_TRUE(registry.Get(g, "EB", params).ok());
+  EXPECT_EQ(registry.precompute_count(), 2u);
+}
+
+TEST(SystemRegistryTest, EvictClearAndCapacityDropCachedPrecomputes) {
+  SystemRegistry registry;
+  graph::Graph g = SmallNetwork(300, 480, 21);
+  graph::Graph h = SmallNetwork(300, 480, 22);
+  SystemParams params;
+  params.nr_regions = 8;
+
+  ASSERT_TRUE(registry.Get(g, "NR", params).ok());
+  ASSERT_TRUE(registry.Get(h, "NR", params).ok());
+  EXPECT_EQ(registry.precompute_count(), 2u);
+  registry.Evict(g);
+  EXPECT_EQ(registry.precompute_count(), 1u);
+  EXPECT_EQ(registry.size(), 1u);
+  registry.Clear();
+  EXPECT_EQ(registry.precompute_count(), 0u);
+
+  // The capacity cap bounds the cached pre-computations too.
+  registry.set_capacity(1);
+  SystemParams four = params;
+  four.nr_regions = 4;
+  ASSERT_TRUE(registry.Get(g, "NR", params).ok());
+  ASSERT_TRUE(registry.Get(g, "NR", four).ok());
+  EXPECT_EQ(registry.precompute_count(), 1u);
+  EXPECT_EQ(registry.size(), 1u);
+}
+
+void ExpectSameCycle(const broadcast::BroadcastCycle& a,
+                     const broadcast::BroadcastCycle& b,
+                     std::string_view method) {
+  ASSERT_EQ(a.num_segments(), b.num_segments()) << method;
+  EXPECT_EQ(a.total_packets(), b.total_packets()) << method;
+  for (size_t i = 0; i < a.num_segments(); ++i) {
+    EXPECT_EQ(a.segment(i).type, b.segment(i).type) << method << " " << i;
+    EXPECT_EQ(a.segment(i).id, b.segment(i).id) << method << " " << i;
+    EXPECT_EQ(a.segment(i).is_index, b.segment(i).is_index)
+        << method << " " << i;
+    EXPECT_EQ(a.segment(i).payload, b.segment(i).payload)
+        << method << " " << i;
+  }
+}
+
+TEST(SystemRegistryTest, ConcurrentSharedBuildsMatchColdBuilds) {
+  graph::Graph g = SmallNetwork(400, 640, 23);
+  SystemParams params;
+  params.nr_regions = 8;
+  params.eb_regions = 8;
+
+  for (int round = 0; round < 3; ++round) {
+    SystemRegistry registry;
+    std::shared_ptr<const AirSystem> got[2][2];
+    auto worker = [&](int t) {
+      // The two threads ask in opposite orders, so either may compute
+      // the shared precompute (or both, when they race).
+      const char* order[2] = {t == 0 ? "NR" : "EB", t == 0 ? "EB" : "NR"};
+      for (int i = 0; i < 2; ++i) {
+        got[t][i] = registry.Get(g, order[i], params).value();
+      }
+    };
+    std::thread a(worker, 0);
+    std::thread b(worker, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(got[0][0].get(), got[1][1].get());  // NR
+    EXPECT_EQ(got[0][1].get(), got[1][0].get());  // EB
+    for (const char* method : {"NR", "EB"}) {
+      auto cold = BuildSystem(g, method, params).value();
+      auto cached = registry.Get(g, method, params).value();
+      ExpectSameCycle(cold->cycle(), cached->cycle(), method);
+    }
+  }
 }
 
 TEST(SystemRegistryTest, UnknownMethodIsAnError) {
