@@ -205,6 +205,18 @@ void BM_RunQueryEbFresh(benchmark::State& state) {
 void BM_RunQueryEbScratch(benchmark::State& state) {
   RunQueryBench(state, "EB", true);
 }
+void BM_RunQuerySpqFresh(benchmark::State& state) {
+  RunQueryBench(state, "SPQ", false);
+}
+void BM_RunQuerySpqScratch(benchmark::State& state) {
+  RunQueryBench(state, "SPQ", true);
+}
+void BM_RunQueryHiTiFresh(benchmark::State& state) {
+  RunQueryBench(state, "HiTi", false);
+}
+void BM_RunQueryHiTiScratch(benchmark::State& state) {
+  RunQueryBench(state, "HiTi", true);
+}
 BENCHMARK(BM_RunQueryDjFresh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryDjScratch)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryNrFresh)->Unit(benchmark::kMillisecond);
@@ -215,6 +227,10 @@ BENCHMARK(BM_RunQueryLdFresh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryLdScratch)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryAfFresh)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RunQueryAfScratch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunQuerySpqFresh)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunQuerySpqScratch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunQueryHiTiFresh)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RunQueryHiTiScratch)->Unit(benchmark::kMillisecond);
 
 // Shared fixture for the engine benchmarks. The leaked Global() registry
 // keeps the NR system alive for the process lifetime.

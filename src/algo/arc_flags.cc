@@ -129,14 +129,9 @@ void ArcFlagIndex::SetAllFlags(size_t arc_index) {
 graph::Path ArcFlagIndex::Query(const graph::Graph& g, graph::NodeId s,
                                 graph::NodeId t, size_t* settled_out) const {
   const graph::RegionId target_region = node_region_[t];
-  const std::vector<uint32_t> first_arc = FirstArcTable(g);
-
-  // The edge filter needs the arc's CSR index; recover it from the span
-  // offset.
   SearchTree tree = DijkstraSearch(
-      g, s, t, [&](graph::NodeId from, const graph::Graph::Arc& arc) {
-        const size_t offset = &arc - g.OutArcs(from).data();
-        return ArcAllowed(first_arc[from] + offset, target_region);
+      g, s, t, [&](graph::NodeId, const graph::Graph::Arc& arc) {
+        return ArcAllowed(g.ArcIndex(arc), target_region);
       });
   if (settled_out != nullptr) *settled_out = tree.settled;
   return ExtractPath(tree, s, t);

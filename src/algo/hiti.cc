@@ -214,6 +214,12 @@ HiTiIndex HiTiIndex::FromTables(uint32_t num_regions,
 graph::Dist HiTiIndex::QueryDistance(const graph::Graph& g, graph::NodeId s,
                                      graph::NodeId t,
                                      size_t* settled_out) const {
+  // An endpoint outside the partition (a graph rebuilt from a lossy
+  // broadcast may lack it) has no region to search from.
+  if (s >= part_.node_region.size() || t >= part_.node_region.size()) {
+    if (settled_out != nullptr) *settled_out = 0;
+    return kInfDist;
+  }
   const uint32_t R = num_regions_;
   const RegionId rs = part_.node_region[s];
   const RegionId rt = part_.node_region[t];

@@ -52,7 +52,8 @@ class HiTiIndex {
 
   uint32_t num_regions() const { return num_regions_; }
 
-  /// Exact point-to-point distance via the hierarchy overlay search.
+  /// Exact point-to-point distance via the hierarchy overlay search;
+  /// kInfDist when `s` or `t` lies outside the index's partition.
   graph::Dist QueryDistance(const graph::Graph& g, graph::NodeId s,
                             graph::NodeId t, size_t* settled_out =
                                                   nullptr) const;

@@ -172,7 +172,10 @@ SpqIndex SpqIndex::FromParts(double min_x, double min_y, double size,
 }
 
 int32_t SpqIndex::ColorOf(graph::NodeId v, graph::Point p) const {
-  const Tree& tree = trees_[v];
+  return ColorIn(trees_[v], p);
+}
+
+int32_t SpqIndex::ColorIn(const Tree& tree, graph::Point p) const {
   double x = min_x_, y = min_y_, size = size_;
   int32_t cur = 0;
   while (!tree.nodes[cur].is_leaf()) {
@@ -190,22 +193,11 @@ graph::Path SpqIndex::Query(const graph::Graph& g, graph::NodeId s,
                             graph::NodeId t) const {
   graph::Path path;
   path.nodes.push_back(s);
-  graph::Dist total = 0;
-  NodeId cur = s;
-  const graph::Point target = g.Coord(t);
-  for (size_t step = 0; cur != t; ++step) {
-    if (step > g.num_nodes()) return graph::Path{};  // corrupt index
-    const int32_t color = ColorOf(cur, target);
-    if (color < 0 ||
-        static_cast<size_t>(color) >= g.OutDegree(cur)) {
-      return graph::Path{};  // unreachable / corrupt
-    }
-    const auto& arc = g.OutArcs(cur)[color];
-    total += arc.weight;
-    cur = arc.to;
-    path.nodes.push_back(cur);
-  }
-  path.dist = total;
+  auto tree_of = [this](NodeId v) { return &trees_[v]; };
+  const graph::Dist dist =
+      Walk(g, s, t, tree_of, [&](NodeId v) { path.nodes.push_back(v); });
+  if (dist == graph::kInfDist) return graph::Path{};
+  path.dist = dist;
   return path;
 }
 

@@ -49,9 +49,24 @@ class SpqIndex {
   /// QtNode::kNoColor if the cell is empty (never happens for real targets).
   int32_t ColorOf(graph::NodeId v, graph::Point p) const;
 
+  /// First-hop colour in `tree` (any node's quadtree over this index's
+  /// root cell) for a target located at `p`.
+  int32_t ColorIn(const Tree& tree, graph::Point p) const;
+
   /// Follows first-hop colours from s to t; exact shortest path.
   graph::Path Query(const graph::Graph& g, graph::NodeId s,
                     graph::NodeId t) const;
+
+  /// Query's walk over trees fetched one at a time: `tree_of(v)` returns
+  /// node v's tree as a `const Tree*` (read before the next call) or null
+  /// when it is unknown, which fails the walk. Returns the path length,
+  /// or kInfDist when the walk fails. Lets a client that holds the trees
+  /// encoded decode only the ones the walk visits.
+  template <typename TreeOf>
+  graph::Dist QueryDistance(const graph::Graph& g, graph::NodeId s,
+                            graph::NodeId t, TreeOf&& tree_of) const {
+    return Walk(g, s, t, tree_of, [](graph::NodeId) {});
+  }
 
   /// Serialized size: per quadtree cell 1 tag byte, plus 2 colour bytes for
   /// leaves. Drives the SPQ row of Table 1.
@@ -76,6 +91,30 @@ class SpqIndex {
 
   /// Serialized bytes of a single tree.
   static size_t TreeBytes(const Tree& tree);
+
+  /// The walk behind Query and QueryDistance; `on_hop(v)` sees every node
+  /// after s that the walk steps onto.
+  template <typename TreeOf, typename OnHop>
+  graph::Dist Walk(const graph::Graph& g, graph::NodeId s, graph::NodeId t,
+                   TreeOf& tree_of, OnHop&& on_hop) const {
+    graph::Dist total = 0;
+    graph::NodeId cur = s;
+    const graph::Point target = g.Coord(t);
+    for (size_t step = 0; cur != t; ++step) {
+      if (step > g.num_nodes()) return graph::kInfDist;  // corrupt index
+      const Tree* tree = tree_of(cur);
+      if (tree == nullptr) return graph::kInfDist;
+      const int32_t color = ColorIn(*tree, target);
+      if (color < 0 || static_cast<size_t>(color) >= g.OutDegree(cur)) {
+        return graph::kInfDist;  // unreachable / corrupt
+      }
+      const auto& arc = g.OutArcs(cur)[color];
+      total += arc.weight;
+      cur = arc.to;
+      on_hop(cur);
+    }
+    return total;
+  }
 
   double min_x_ = 0, min_y_ = 0, size_ = 1;  // root cell (square)
   std::vector<Tree> trees_;

@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <bit>
 
 #include "algo/arc_flags.h"
+#include "algo/dijkstra.h"
 #include "common/byte_io.h"
 #include "core/full_cycle_system.h"
 #include "partition/kd_tree.h"
@@ -39,9 +41,10 @@ struct ArcFlagMethod {
 
     void OnAux(broadcast::ReceivedSegment& seg) {
       if (seg.segment_id != kHeaderSegment) {
-        // Raw flag bytes are retained, and stay charged, until the search.
-        // Moving them out costs the scratch's segment a fresh buffer next
-        // query; AF rebuilds a whole Graph per query anyway.
+        // Raw flag bytes are retained, and stay charged, until the search:
+        // only then is the target's region known. Moving them out costs
+        // the scratch's segment a fresh buffer next query; AF rebuilds a
+        // whole Graph per query anyway.
         flags.push_back(std::move(seg));
         return;
       }
@@ -64,39 +67,42 @@ struct ArcFlagMethod {
       if (!header_ok) return {};
       std::optional<graph::Graph> gr = run.RebuildGraph(std::move(coords));
       if (!gr.has_value()) return {};
+      auto kd = partition::KdTreePartitioner::FromSplits(std::move(splits));
+      if (!kd.ok()) return {};
+      // Charged as the decoded flag matrix, one bit per region per arc,
+      // although only the target region's column is materialized.
+      const size_t num_arcs = gr->num_arcs();
+      run.memory.Charge(num_arcs * ((method.num_regions + 63) / 64) *
+                        sizeof(uint64_t));
 
-      auto kd = partition::KdTreePartitioner::FromSplits(splits);
-      std::vector<graph::RegionId> node_region(gr->num_nodes());
-      for (graph::NodeId v = 0; v < gr->num_nodes(); ++v) {
-        node_region[v] = kd->RegionOf(gr->Coord(v));
-      }
-      const uint32_t regions = method.num_regions;
-      algo::ArcFlagIndex idx = algo::ArcFlagIndex::MakeEmpty(
-          gr->num_arcs(), regions, std::move(node_region));
-      run.memory.Charge(idx.MemoryBytes());
-      const size_t bytes_per_arc = 2 * static_cast<size_t>(regions);
+      QueryScratch& s = run.scratch();
+      const graph::RegionId region = kd->RegionOf(gr->Coord(query.target));
+      std::vector<uint8_t>& allowed = s.af_allowed;
+      allowed.assign(num_arcs, 0);
+      const size_t bytes_per_arc = 2 * static_cast<size_t>(method.num_regions);
       for (const broadcast::ReceivedSegment& seg : flags) {
+        // Arcs at or past the rebuilt graph's arc count (network records
+        // lost for good) have nothing to flag.
         const size_t first_arc = (seg.segment_id - 1) * kFlagChunkArcs;
-        const size_t arcs_in_chunk = seg.payload.size() / bytes_per_arc;
+        if (first_arc >= num_arcs) continue;
+        const size_t arcs_in_chunk = std::min(
+            seg.payload.size() / bytes_per_arc, num_arcs - first_arc);
         for (size_t i = 0; i < arcs_in_chunk; ++i) {
-          const size_t arc = first_arc + i;
           const size_t off = i * bytes_per_arc;
-          if (!seg.RangeOk(off, off + bytes_per_arc)) {
-            // §6.2: a lost flag vector is assumed all-ones.
-            idx.SetAllFlags(arc);
-            continue;
-          }
-          for (uint32_t r = 0; r < regions; ++r) {
-            if (GetU16(seg.payload.data() + off + 2 * r) != 0) {
-              idx.SetArcFlag(arc, r);
-            }
-          }
+          // §6.2: a lost flag vector is assumed all-ones.
+          allowed[first_arc + i] |=
+              !seg.RangeOk(off, off + bytes_per_arc) ||
+              GetU16(seg.payload.data() + off + 2 * region) != 0;
         }
       }
-      size_t settled = 0;
-      const graph::Path path =
-          idx.Query(*gr, query.source, query.target, &settled);
-      return {path.dist, path.found()};
+      algo::DijkstraSearch(
+          *gr, query.source, query.target,
+          [&](graph::NodeId, const graph::Graph::Arc& arc) {
+            return allowed[gr->ArcIndex(arc)] != 0;
+          },
+          s.search);
+      const graph::Dist dist = s.search.DistTo(query.target);
+      return {dist, dist != graph::kInfDist};
     }
 
     const ArcFlagMethod& method;

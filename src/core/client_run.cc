@@ -42,8 +42,8 @@ void ClientRun::IngestEdges(const broadcast::ReceivedSegment& seg,
   size_t record_count = 0;
   broadcast::NodeRecordCursor cursor(seg.payload, encoding);
   while (cursor.Next(&s.record)) {
+    if (s.record.id >= coords.size()) continue;
     ++record_count;
-    if (s.record.id >= coords.size()) coords.resize(s.record.id + 1);
     coords[s.record.id] = s.record.coord;
     for (const auto& arc : s.record.arcs) {
       s.edges.push_back({s.record.id, arc.to, arc.weight});

@@ -41,9 +41,9 @@ class ClientRun {
 
   /// Decodes a network-data segment into the scratch's edge list plus
   /// `coords` (AF, SPQ, HiTi: the clients that rebuild a graph::Graph),
-  /// charging 12 bytes per arc and 20 per record. `coords` grows to the
-  /// highest received id + 1 when it is shorter; callers that know the
-  /// node count size it up front.
+  /// charging 12 bytes per arc and 20 per record. Callers size `coords`
+  /// to the network's node count up front; a record whose id is at or
+  /// past it (a misparse of a segment with zeroed holes) is skipped.
   void IngestEdges(const broadcast::ReceivedSegment& seg,
                    broadcast::CycleEncoding encoding,
                    std::vector<graph::Point>& coords);

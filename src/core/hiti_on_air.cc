@@ -23,6 +23,7 @@ struct HiTiMethod {
   static constexpr bool kRebuildsGraph = true;
 
   uint32_t num_regions = 0;
+  uint32_t num_nodes = 0;
 
   bool RepairAux(const broadcast::ReceivedSegment&,
                  const ClientOptions&) const {
@@ -31,7 +32,10 @@ struct HiTiMethod {
 
   struct Query {
     Query(const HiTiMethod& method, ClientRun& run)
-        : num_regions(method.num_regions), run(run), subs(2 * num_regions) {}
+        : num_regions(method.num_regions),
+          run(run),
+          coords(method.num_nodes),
+          subs(2 * num_regions) {}
 
     void OnAux(broadcast::ReceivedSegment& seg) {
       if (seg.segment_id == kHeaderSegment) {
@@ -82,8 +86,8 @@ struct HiTiMethod {
 
     const uint32_t num_regions;
     ClientRun& run;
-    // Grown to the highest received id; moved into the rebuilt Graph /
-    // HiTiIndex, so not pooled. The edge list is.
+    // Moved into the rebuilt Graph / HiTiIndex, so not pooled. The edge
+    // list is.
     std::vector<graph::Point> coords;
     std::vector<double> splits;
     std::vector<algo::HiTiIndex::SubgraphInfo> subs;
@@ -122,8 +126,9 @@ Result<std::unique_ptr<AirSystem>> BuildHiTiOnAir(const graph::Graph& g,
     for (graph::Dist d : sub.dmat) PutU32(&out, SaturateDist(d));
     for (graph::NodeId hop : sub.next_hop) PutU32(&out, hop);
   }
-  return MakeFullCycleSystem(g, config, HiTiMethod{num_regions},
-                             std::move(aux), precompute_seconds);
+  const HiTiMethod method{num_regions, static_cast<uint32_t>(g.num_nodes())};
+  return MakeFullCycleSystem(g, config, method, std::move(aux),
+                             precompute_seconds);
 }
 
 }  // namespace airindex::core

@@ -2,10 +2,12 @@
 #define AIRINDEX_CORE_QUERY_SCRATCH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <vector>
 
 #include "algo/search_workspace.h"
+#include "algo/spq.h"
 #include "broadcast/channel.h"
 #include "broadcast/serialization.h"
 #include "core/decoded_slot_cache.h"
@@ -91,6 +93,19 @@ struct QueryScratch {
   /// Edge accumulator of the clients that rebuild a full graph::Graph
   /// (AF/SPQ/HiTi).
   std::vector<graph::EdgeTriplet> edges;
+  /// AF's per-arc "allowed toward the target region" column.
+  std::vector<uint8_t> af_allowed;
+  /// SPQ's per-node tree location: the index of the kept chunk holding
+  /// the node's encoded quadtree (kNone: none received) and the tree's
+  /// byte offset in it.
+  struct SpqTreeRef {
+    static constexpr uint32_t kNone = UINT32_MAX;
+    uint32_t chunk = kNone;
+    uint32_t offset = 0;
+  };
+  std::vector<SpqTreeRef> spq_trees;
+  /// The one quadtree SPQ's walk decodes at a time.
+  algo::SpqIndex::Tree spq_tree;
   /// Cross-query session cache (disabled unless the owner arms it via
   /// BeginSession — the event engine's warm-session path does). NOT reset
   /// by BeginQuery: its whole point is surviving to the next query.
@@ -106,9 +121,10 @@ struct QueryScratch {
     segments.Reset();
     needed_regions.clear();
     edges.clear();
-    // search workspaces reset per search (BeginSearch); ld_to/ld_from are
-    // assign()ed by the LD client; full_cycle re-primes per call. The
-    // session cache deliberately survives (it is per-session state).
+    // search workspaces reset per search (BeginSearch); ld_to/ld_from,
+    // af_allowed and spq_trees are assign()ed by their clients;
+    // full_cycle re-primes per call. The session cache deliberately
+    // survives (it is per-session state).
   }
 };
 

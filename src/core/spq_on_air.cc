@@ -4,6 +4,7 @@
 #include "algo/spq.h"
 #include "common/byte_io.h"
 #include "core/full_cycle_system.h"
+#include "core/spq_wire.h"
 
 namespace airindex::core {
 namespace {
@@ -12,8 +13,6 @@ constexpr uint32_t kHeaderSegment = 0;
 constexpr uint32_t kTreesPerChunk = 64;
 constexpr uint16_t kNoColorU16 = 0xFFFF;
 
-/// Pre-order, self-delimiting cell encoding: tag 0 = leaf (color:u16
-/// follows), tag 1 = internal (the 4 child subtrees follow).
 void EncodeCell(const algo::SpqIndex::Tree& tree, int32_t cell,
                 std::vector<uint8_t>* out) {
   const auto& node = tree.nodes[cell];
@@ -27,10 +26,6 @@ void EncodeCell(const algo::SpqIndex::Tree& tree, int32_t cell,
   }
   out->push_back(1);
   for (int q = 0; q < 4; ++q) EncodeCell(tree, node.child[q], out);
-}
-
-void EncodeTree(const algo::SpqIndex::Tree& tree, std::vector<uint8_t>* out) {
-  EncodeCell(tree, 0, out);
 }
 
 /// Recursive decoder; returns the new cell's index or -1 on truncation.
@@ -57,6 +52,36 @@ int32_t DecodeCellImpl(const std::vector<uint8_t>& buf, size_t* pos,
   return idx;
 }
 
+}  // namespace
+
+void EncodeSpqTree(const algo::SpqIndex::Tree& tree,
+                   std::vector<uint8_t>* out) {
+  EncodeCell(tree, 0, out);
+}
+
+bool DecodeSpqTree(const std::vector<uint8_t>& buf, size_t* pos,
+                   algo::SpqIndex::Tree* tree) {
+  return DecodeCellImpl(buf, pos, tree) >= 0;
+}
+
+size_t SkimSpqTree(const std::vector<uint8_t>& buf, size_t* pos) {
+  size_t cells = 0;
+  // Cells still to read: the root, then four more per internal cell.
+  for (size_t pending = 1; pending > 0; --pending) {
+    if (*pos >= buf.size()) return 0;
+    ++cells;
+    if (buf[(*pos)++] != 0) {
+      pending += 4;
+      continue;
+    }
+    if (*pos + 2 > buf.size()) return 0;
+    *pos += 2;
+  }
+  return cells;
+}
+
+namespace {
+
 /// SPQ: the quadtree-guided search over a graph::Graph rebuilt from the
 /// received network.
 struct SpqMethod {
@@ -72,7 +97,12 @@ struct SpqMethod {
 
   struct Query {
     Query(const SpqMethod& method, ClientRun& run)
-        : n(method.num_nodes), run(run), coords(n), trees(n) {}
+        : n(method.num_nodes),
+          run(run),
+          coords(n),
+          chunks((n + kTreesPerChunk - 1) / kTreesPerChunk) {
+      run.scratch().spq_trees.assign(n, {});
+    }
 
     void OnAux(broadcast::ReceivedSegment& seg) {
       if (seg.segment_id == kHeaderSegment) {
@@ -84,32 +114,55 @@ struct SpqMethod {
         }
         return;
       }
-      const uint32_t first = (seg.segment_id - 1) * kTreesPerChunk;
+      // Keep the chunk encoded and note where each tree starts; Search
+      // decodes only the trees its walk visits. The charge is the decoded
+      // trees' footprint all the same, and the raw bytes are released
+      // here, as if decoded.
+      const uint32_t chunk = seg.segment_id - 1;
+      chunks[chunk] = std::move(seg);
+      const std::vector<uint8_t>& payload = chunks[chunk].payload;
+      std::vector<QueryScratch::SpqTreeRef>& trees = run.scratch().spq_trees;
+      size_t cells = 0;
       size_t pos = 0;
-      for (uint32_t v = first; v < n && pos < seg.payload.size(); ++v) {
-        algo::SpqIndex::Tree tree;
-        if (DecodeCellImpl(seg.payload, &pos, &tree) < 0) break;
-        run.memory.Charge(tree.nodes.size() * sizeof(algo::SpqIndex::QtNode));
-        trees[v] = std::move(tree);
+      for (uint32_t v = chunk * kTreesPerChunk; v < n && pos < payload.size();
+           ++v) {
+        const size_t start = pos;
+        const size_t tree_cells = SkimSpqTree(payload, &pos);
+        if (tree_cells == 0) break;
+        cells += tree_cells;
+        trees[v] = {chunk, static_cast<uint32_t>(start)};
       }
+      run.memory.Charge(cells * sizeof(algo::SpqIndex::QtNode));
+      run.memory.Release(payload.size());
     }
 
     FullCycleAnswer Search(const AirQuery& query) {
       if (!header_ok) return {};
       std::optional<graph::Graph> gr = run.RebuildGraph(std::move(coords));
       if (!gr.has_value()) return {};
-      algo::SpqIndex idx = algo::SpqIndex::FromParts(root[0], root[1], root[2],
-                                                     std::move(trees));
-      const graph::Dist dist = idx.Query(*gr, query.source, query.target).dist;
+      const algo::SpqIndex idx =
+          algo::SpqIndex::FromParts(root[0], root[1], root[2], {});
+      QueryScratch& s = run.scratch();
+      const graph::Dist dist = idx.QueryDistance(
+          *gr, query.source, query.target,
+          [&](graph::NodeId v) -> const algo::SpqIndex::Tree* {
+            const QueryScratch::SpqTreeRef& ref = s.spq_trees[v];
+            if (ref.chunk == QueryScratch::SpqTreeRef::kNone) return nullptr;
+            size_t pos = ref.offset;
+            s.spq_tree.nodes.clear();
+            DecodeSpqTree(chunks[ref.chunk].payload, &pos, &s.spq_tree);
+            return &s.spq_tree;
+          });
       return {dist, dist != graph::kInfDist};
     }
 
     const uint32_t n;
     ClientRun& run;
-    // Moved into the rebuilt Graph / SpqIndex, so not pooled; the edge
-    // list is.
+    // Moved into the rebuilt Graph, so not pooled; the edge list is.
     std::vector<graph::Point> coords;
-    std::vector<algo::SpqIndex::Tree> trees;
+    // Tree chunks by segment id - 1, moved out of the receive loop's
+    // scratch like AF's flag segments.
+    std::vector<broadcast::ReceivedSegment> chunks;
     double root[3] = {0, 0, 1};
     bool header_ok = false;
   };
@@ -137,7 +190,9 @@ Result<std::unique_ptr<AirSystem>> BuildSpqOnAir(const graph::Graph& g,
     std::vector<uint8_t>& out =
         AddAuxSegment(&aux, 1 + first / kTreesPerChunk);
     const uint32_t last = std::min(first + kTreesPerChunk, n);
-    for (uint32_t v = first; v < last; ++v) EncodeTree(idx.TreeOf(v), &out);
+    for (uint32_t v = first; v < last; ++v) {
+      EncodeSpqTree(idx.TreeOf(v), &out);
+    }
   }
   return MakeFullCycleSystem(g, config, SpqMethod{n}, std::move(aux),
                              precompute_seconds);

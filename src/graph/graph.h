@@ -51,6 +51,12 @@ class Graph {
 
   size_t OutDegree(NodeId v) const { return offsets_[v + 1] - offsets_[v]; }
 
+  /// Position in the CSR arc array of `arc`, an element of some OutArcs
+  /// span of this graph (the index per-arc tables such as arc flags use).
+  size_t ArcIndex(const Arc& arc) const {
+    return static_cast<size_t>(&arc - arcs_.data());
+  }
+
   const Point& Coord(NodeId v) const { return coords_[v]; }
   const std::vector<Point>& coords() const { return coords_; }
 

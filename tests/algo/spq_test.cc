@@ -89,6 +89,26 @@ TEST(SpqTest, FromPartsReproducesQueries) {
   }
 }
 
+TEST(SpqTest, QueryDistanceWalksFetchedTrees) {
+  graph::Graph g = SmallNetwork(100, 160, 71);
+  auto idx = SpqIndex::Build(g);
+  ASSERT_TRUE(idx.ok());
+  // Trees are handed out one at a time, as a client decoding them lazily
+  // does; the walk must not read a tree after fetching the next.
+  SpqIndex::Tree one;
+  auto fetch = [&](graph::NodeId v) {
+    one = idx->TreeOf(v);
+    return &one;
+  };
+  auto none = [](graph::NodeId) -> const SpqIndex::Tree* { return nullptr; };
+  for (auto [s, t] : RandomPairs(g, 10, 72)) {
+    EXPECT_EQ(idx->QueryDistance(g, s, t, fetch), idx->Query(g, s, t).dist);
+    if (s != t) {
+      EXPECT_EQ(idx->QueryDistance(g, s, t, none), graph::kInfDist);
+    }
+  }
+}
+
 TEST(SpqTest, IndexIsLargerThanAdjacency) {
   graph::Graph g = SmallNetwork(300, 480, 70);
   auto idx = SpqIndex::Build(g);
