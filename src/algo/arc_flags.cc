@@ -109,23 +109,6 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
   return idx;
 }
 
-ArcFlagIndex ArcFlagIndex::MakeEmpty(size_t num_arcs, uint32_t num_regions,
-                                     std::vector<graph::RegionId>
-                                         node_region) {
-  ArcFlagIndex idx;
-  idx.num_regions_ = num_regions;
-  idx.words_per_arc_ = (num_regions + 63) / 64;
-  idx.node_region_ = std::move(node_region);
-  idx.flags_.assign(num_arcs * idx.words_per_arc_, 0);
-  return idx;
-}
-
-void ArcFlagIndex::SetAllFlags(size_t arc_index) {
-  for (size_t w = 0; w < words_per_arc_; ++w) {
-    flags_[arc_index * words_per_arc_ + w] = ~uint64_t{0};
-  }
-}
-
 graph::Path ArcFlagIndex::Query(const graph::Graph& g, graph::NodeId s,
                                 graph::NodeId t, size_t* settled_out) const {
   const graph::RegionId target_region = node_region_[t];

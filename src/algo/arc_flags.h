@@ -42,15 +42,11 @@ class ArcFlagIndex {
     return (word >> (region % 64)) & 1;
   }
 
-  /// Sets the flag (used when deserializing broadcast data and by the
-  /// packet-loss fallback that treats lost flag packets as all-ones).
+  /// Sets the flag (the build's intra-region and tree-arc marks).
   void SetArcFlag(size_t arc_index, graph::RegionId region) {
     flags_[arc_index * words_per_arc_ + region / 64] |=
         uint64_t{1} << (region % 64);
   }
-
-  /// Marks every region bit of an arc (the §6.2 loss fallback).
-  void SetAllFlags(size_t arc_index);
 
   /// Dijkstra restricted to arcs flagged for `t`'s region.
   graph::Path Query(const graph::Graph& g, graph::NodeId s, graph::NodeId t,
@@ -64,20 +60,6 @@ class ArcFlagIndex {
   size_t BytesPerArc() const { return 2 * static_cast<size_t>(num_regions_); }
 
   size_t MemoryBytes() const { return flags_.size() * sizeof(uint64_t); }
-
-  /// Raw flag words for arc `arc_index` (serialization helper).
-  const uint64_t* ArcWords(size_t arc_index) const {
-    return flags_.data() + arc_index * words_per_arc_;
-  }
-
-  /// Creates an empty (all-zero) index to be filled via SetArcFlag
-  /// (deserialization path).
-  static ArcFlagIndex MakeEmpty(size_t num_arcs, uint32_t num_regions,
-                                std::vector<graph::RegionId> node_region);
-
-  const std::vector<graph::RegionId>& node_region() const {
-    return node_region_;
-  }
 
  private:
   ArcFlagIndex() = default;

@@ -16,6 +16,15 @@ inline constexpr size_t kPacketSize = 128;
 inline constexpr size_t kHeaderSize = 8;
 inline constexpr size_t kPayloadSize = kPacketSize - kHeaderSize;
 
+/// Packets a segment with `payload_bytes` of payload occupies:
+/// ceil(payload_bytes / kPayloadSize), and one for an empty payload.
+inline constexpr uint32_t PayloadPackets(size_t payload_bytes) {
+  return payload_bytes == 0
+             ? 1
+             : static_cast<uint32_t>((payload_bytes + kPayloadSize - 1) /
+                                     kPayloadSize);
+}
+
 /// What a packet's payload belongs to. The broadcast cycle is a sequence of
 /// *segments*, each packetized separately (a packet never mixes segments —
 /// this is also how the paper separates adjacency data from pre-computed

@@ -1,17 +1,20 @@
 #include "core/client_run.h"
 
+#include "algo/dijkstra.h"
 #include "core/decoded_slot_cache.h"
 #include "core/region_data.h"
+#include "core/repair.h"
 
 namespace airindex::core {
 
 ClientRun::ClientRun(const broadcast::BroadcastChannel& channel,
-                     uint64_t start_pos, const ClientOptions& options,
-                     QueryScratch* scratch)
+                     uint64_t start_pos, size_t num_nodes,
+                     const ClientOptions& options, QueryScratch* scratch)
     : memory(options.heap_bytes),
       session(&channel, start_pos),
-      scratch_(scratch != nullptr ? scratch : &local_.emplace()) {
-  scratch_->BeginQuery();
+      scratch_(scratch != nullptr ? scratch : &local_.emplace()),
+      num_nodes_(num_nodes) {
+  scratch_->BeginQuery(num_nodes);
   scratch_->session.BeginQueryStats();
 }
 
@@ -42,7 +45,7 @@ void ClientRun::IngestEdges(const broadcast::ReceivedSegment& seg,
   size_t record_count = 0;
   broadcast::NodeRecordCursor cursor(seg.payload, encoding);
   while (cursor.Next(&s.record)) {
-    if (s.record.id >= coords.size()) continue;
+    if (s.record.id >= num_nodes_) continue;
     ++record_count;
     coords[s.record.id] = s.record.coord;
     for (const auto& arc : s.record.arcs) {
@@ -107,6 +110,23 @@ bool ClientRun::IngestRegionPair(const broadcast::ReceivedSegment& cross,
   return true;
 }
 
+graph::Dist ClientRun::SearchRegions(const AirQuery& query,
+                                     const SuperEdgeProcessor* collapse) {
+  device::Stopwatch sw;
+  graph::Dist dist = graph::kInfDist;
+  const PartialGraph& pg = scratch_->partial_graph;
+  if (collapse != nullptr) {
+    dist = collapse->Solve();
+  } else if (pg.Has(query.source) && pg.Has(query.target)) {
+    // An endpoint region lost for good leaves nothing to search.
+    algo::DijkstraSearch(pg, query.source, query.target, KnownEdgeFilter{&pg},
+                         scratch_->search);
+    dist = scratch_->search.DistTo(query.target);
+  }
+  cpu_ms += sw.ElapsedMs();
+  return dist;
+}
+
 device::QueryMetrics ClientRun::Finish(graph::Dist distance, bool ok) {
   metrics.tuning_packets = session.tuned_packets();
   metrics.latency_packets = session.latency_packets();
@@ -123,6 +143,66 @@ device::QueryMetrics ClientRun::Finish(graph::Dist distance, bool ok) {
   metrics.distance = distance;
   metrics.ok = ok;
   return metrics;
+}
+
+void RegionFetch::FetchSegment(uint32_t start,
+                               broadcast::ReceivedSegment* out) {
+  SessionCache& cache = run_.scratch().session;
+  if (cache_on_ && cache.Load(start, out)) {
+    cache.CountHit();
+    return;
+  }
+  broadcast::ReceiveSegmentAt(run_.session, start, out);
+  if (cache_on_) cache.Store(start, *out);
+}
+
+void RegionFetch::Fetch(uint32_t cross_start,
+                        std::optional<uint32_t> local_start) {
+  SegmentArena& arena = run_.scratch().segments;
+  Stashed region{arena.Acquire(), nullptr, cross_start, 0};
+  FetchSegment(cross_start, region.cross);
+  run_.memory.Charge(region.cross->payload.size());
+  if (local_start.has_value()) {
+    region.local = arena.Acquire();
+    region.local_start = *local_start;
+    FetchSegment(*local_start, region.local);
+    run_.memory.Charge(region.local->payload.size());
+  }
+  if (region.cross->complete &&
+      (region.local == nullptr || region.local->complete)) {
+    Ingest(region);
+  } else {
+    stash_.push_back(region);
+  }
+}
+
+void RegionFetch::Flush(int max_repair_cycles) {
+  if (stash_.empty()) return;
+  std::vector<PendingRepair> pending;
+  for (const Stashed& st : stash_) {
+    if (!st.cross->complete) pending.push_back({st.cross_start, st.cross});
+    if (st.local != nullptr && !st.local->complete) {
+      pending.push_back({st.local_start, st.local});
+    }
+  }
+  RepairAllSegments(run_.session, pending, max_repair_cycles);
+  SessionCache& cache = run_.scratch().session;
+  for (const Stashed& st : stash_) {
+    if (cache_on_) {
+      // Store() keeps only segments the repairs completed.
+      cache.Store(st.cross_start, *st.cross);
+      if (st.local != nullptr) cache.Store(st.local_start, *st.local);
+    }
+    Ingest(st);
+  }
+  stash_.clear();
+}
+
+void RegionFetch::Ingest(const Stashed& region) {
+  ingest_fn_(ingest_ctx_, *region.cross, region.local);
+  SegmentArena& arena = run_.scratch().segments;
+  arena.Recycle(region.cross);
+  if (region.local != nullptr) arena.Recycle(region.local);
 }
 
 }  // namespace airindex::core

@@ -18,13 +18,8 @@ namespace airindex::core {
 namespace {
 
 using broadcast::kPayloadSize;
+using broadcast::PayloadPackets;
 using broadcast::ReceivedSegment;
-
-uint32_t PayloadPackets(size_t bytes) {
-  return bytes == 0 ? 1
-                    : static_cast<uint32_t>((bytes + kPayloadSize - 1) /
-                                            kPayloadSize);
-}
 
 /// Re-listens to the given still-missing packets of an index segment at
 /// another copy located at `copy_start` (copies are byte-identical).
@@ -93,23 +88,8 @@ Result<std::unique_ptr<EbSystem>> EbSystem::BuildFromPrecompute(
                             partition::KdTreePartitioner::Build(g, R));
 
   // --- Region data segments -------------------------------------------
-  struct RegionPayloads {
-    std::vector<uint8_t> cross;
-    std::vector<uint8_t> local;
-  };
-  std::vector<RegionPayloads> payloads(R);
-  for (graph::RegionId r = 0; r < R; ++r) {
-    std::vector<graph::NodeId> cross_nodes, local_nodes;
-    for (graph::NodeId v : pre.part.region_nodes[r]) {
-      (pre.cross_border[v] ? cross_nodes : local_nodes).push_back(v);
-    }
-    payloads[r].cross = EncodeRegionData(g, pre.borders.region_border[r],
-                                         cross_nodes, config.encoding);
-    if (!local_nodes.empty()) {
-      payloads[r].local = EncodeRegionData(g, {}, local_nodes,
-                                           config.encoding);
-    }
-  }
+  std::vector<RegionPayloads> payloads =
+      EncodeRegionPayloads(g, pre, config.encoding);
 
   uint32_t data_packets = 0;
   for (const auto& p : payloads) {
@@ -197,18 +177,7 @@ Result<std::unique_ptr<EbSystem>> EbSystem::BuildFromPrecompute(
       seg.payload = index_payload;
       builder.Add(std::move(seg));
     }
-    broadcast::Segment cross;
-    cross.type = broadcast::SegmentType::kNetworkData;
-    cross.id = r;
-    cross.payload = std::move(payloads[r].cross);
-    builder.Add(std::move(cross));
-    if (!payloads[r].local.empty()) {
-      broadcast::Segment local;
-      local.type = broadcast::SegmentType::kNetworkData;
-      local.id = r;
-      local.payload = std::move(payloads[r].local);
-      builder.Add(std::move(local));
-    }
+    AddRegionSegments(&builder, r, std::move(payloads[r]));
   }
   sys->index_ = std::move(index);
   AIRINDEX_ASSIGN_OR_RETURN(sys->cycle_, std::move(builder).Finalize());
@@ -218,10 +187,24 @@ Result<std::unique_ptr<EbSystem>> EbSystem::BuildFromPrecompute(
 device::QueryMetrics EbSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  ClientRun run(channel, StartPosition(channel, query), index_.num_nodes,
+                options, scratch);
   QueryScratch& s = run.scratch();
   const uint32_t total = cycle_.total_packets();
-  const bool cache_on = s.session.Ready(channel);
+
+  SuperEdgeProcessor super(query.source, query.target);
+  SuperEdgeProcessor* collapse = options.memory_bound ? &super : nullptr;
+  // A region whose cross segment is invalid stays charged and uncounted.
+  auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local) {
+    device::Stopwatch sw;
+    if (!run.IngestRegionPair(cross, local, encoding_, collapse)) return;
+    run.memory.Release(cross.payload.size());
+    if (local != nullptr) run.memory.Release(local->payload.size());
+    ++run.metrics.regions_received;
+    run.cpu_ms += sw.ElapsedMs();
+  };
+  RegionFetch fetch(run, ingest_region);
+  const bool cache_on = fetch.cache_on();
 
   // --- 1. Find and receive the next index copy (tuning in right at an
   // index start uses that very copy). A warm session skips the probe
@@ -332,115 +315,39 @@ device::QueryMetrics EbSystem::RunQuery(
   run.cpu_ms += sw_prune.ElapsedMs();
 
   // --- 4. Receive needed regions in broadcast order ---------------------
-  std::sort(needed.begin(), needed.end(),
-            [&](graph::RegionId a, graph::RegionId b) {
-              const uint32_t cur = run.session.cycle_pos();
-              auto ahead = [&](graph::RegionId r) {
-                const uint32_t st = index.dir[r].cross_start;
-                return st >= cur ? st - cur : st + total - cur;
-              };
-              return ahead(a) < ahead(b);
-            });
+  SortInBroadcastOrder(run, index, &needed);
 
-  SuperEdgeProcessor super(query.source, query.target);
-  SuperEdgeProcessor* collapse = options.memory_bound ? &super : nullptr;
-  auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local) {
-    device::Stopwatch sw;
-    // A region whose cross segment is invalid stays charged and uncounted.
-    if (!run.IngestRegionPair(cross, local, encoding_, collapse)) return;
-    run.memory.Release(cross.payload.size());
-    if (local != nullptr) run.memory.Release(local->payload.size());
-    ++run.metrics.regions_received;
-    run.cpu_ms += sw.ElapsedMs();
-  };
-
-  // One pass over the cycle collects every needed region; segments with
-  // lost packets are stashed and repaired together in per-cycle sweeps
-  // (§6.2 — one extra cycle fixes all damaged regions, not one region per
-  // cycle).
-  struct StashedRegion {
-    ReceivedSegment* cross = nullptr;
-    ReceivedSegment* local = nullptr;
-    bool want_local = false;
-    uint32_t cross_start = 0;
-    uint32_t local_start = 0;
-  };
-  std::vector<StashedRegion> stash;  // loss path only; empty => no alloc
+  // One pass over the cycle collects every needed region; damaged ones
+  // are repaired together in per-cycle sweeps (§6.2 — one extra cycle
+  // fixes all damaged regions, not one region per cycle).
   for (graph::RegionId r : needed) {
     const EbIndex::RegionDir& d = index.dir[r];
-    ReceivedSegment* cross = s.segments.Acquire();
-    const bool cross_cached =
-        cache_on && s.session.Load(d.cross_start, cross);
-    if (cross_cached) {
-      s.session.CountHit();
-    } else {
-      broadcast::ReceiveSegmentAt(run.session, d.cross_start, cross);
-    }
-    run.memory.Charge(cross->payload.size());
     const bool want_local =
         d.local_packets > 0 &&
         (r == rs || r == rt || !options.cross_border_opt);
-    ReceivedSegment* local = nullptr;
-    bool local_cached = false;
-    if (want_local) {
-      local = s.segments.Acquire();
-      local_cached = cache_on && s.session.Load(d.local_start, local);
-      if (local_cached) {
-        s.session.CountHit();
-      } else {
-        broadcast::ReceiveSegmentAt(run.session, d.local_start, local);
-      }
-      run.memory.Charge(local->payload.size());
-    }
-    if (cross->complete && (!want_local || local->complete)) {
-      if (cache_on && !cross_cached) s.session.Store(d.cross_start, *cross);
-      if (cache_on && want_local && !local_cached) {
-        s.session.Store(d.local_start, *local);
-      }
-      ingest_region(*cross, local);
-      s.segments.Recycle(cross);
-      if (local != nullptr) s.segments.Recycle(local);
-    } else {
-      stash.push_back({cross, local, want_local, d.cross_start,
-                       d.local_start});
-    }
+    fetch.Fetch(d.cross_start, want_local
+                                   ? std::optional<uint32_t>(d.local_start)
+                                   : std::nullopt);
   }
-  if (!stash.empty()) {
-    std::vector<PendingRepair> pending;
-    for (auto& st : stash) {
-      if (!st.cross->complete) {
-        pending.push_back({st.cross_start, st.cross});
-      }
-      if (st.want_local && !st.local->complete) {
-        pending.push_back({st.local_start, st.local});
-      }
-    }
-    RepairAllSegments(run.session, pending, options.max_repair_cycles);
-    for (auto& st : stash) {
-      if (cache_on) {
-        // Store() keeps only segments the repairs completed.
-        s.session.Store(st.cross_start, *st.cross);
-        if (st.want_local) s.session.Store(st.local_start, *st.local);
-      }
-      ingest_region(*st.cross, st.local);
-    }
-  }
+  fetch.Flush(options.max_repair_cycles);
 
   // --- 5. Local search ----------------------------------------------------
-  device::Stopwatch sw_search;
-  graph::Dist dist = graph::kInfDist;
-  if (options.memory_bound) {
-    dist = super.Solve();
-  } else if (s.partial_graph.Has(query.source) &&
-             s.partial_graph.Has(query.target)) {
-    // An endpoint region lost for good leaves nothing to search.
-    const PartialGraph& pg = s.partial_graph;
-    algo::DijkstraSearch(pg, query.source, query.target,
-                         KnownEdgeFilter{&pg}, s.search);
-    dist = s.search.DistTo(query.target);
-  }
-  run.cpu_ms += sw_search.ElapsedMs();
+  const graph::Dist dist = run.SearchRegions(query, collapse);
   return run.Finish(dist, dist != graph::kInfDist);
+}
+
+void SortInBroadcastOrder(const ClientRun& run, const EbIndex& index,
+                          std::vector<graph::RegionId>* regions) {
+  const uint32_t cur = run.session.cycle_pos();
+  const uint32_t total = run.session.cycle().total_packets();
+  auto ahead = [&](graph::RegionId r) {
+    const uint32_t st = index.dir[r].cross_start;
+    return st >= cur ? st - cur : st + total - cur;
+  };
+  std::sort(regions->begin(), regions->end(),
+            [&](graph::RegionId a, graph::RegionId b) {
+              return ahead(a) < ahead(b);
+            });
 }
 
 std::optional<EbTuneIn> TuneInEbIndex(ClientRun& run,

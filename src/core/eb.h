@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/result.h"
 #include "core/air_system.h"
@@ -80,6 +81,11 @@ struct EbTuneIn {
 std::optional<EbTuneIn> TuneInEbIndex(ClientRun& run,
                                       const graph::Point& source_coord,
                                       int max_repair_cycles);
+
+/// Sorts `regions` by when their cross segments next air, from `run`'s
+/// current position: the order EB's clients receive regions in.
+void SortInBroadcastOrder(const ClientRun& run, const EbIndex& index,
+                          std::vector<graph::RegionId>* regions);
 
 }  // namespace airindex::core
 

@@ -78,9 +78,11 @@ template <typename Method>
 class FullCycleSystem final : public AirSystem {
  public:
   FullCycleSystem(Method method, broadcast::BroadcastCycle cycle,
-                  broadcast::CycleEncoding encoding, double precompute_seconds)
+                  size_t num_nodes, broadcast::CycleEncoding encoding,
+                  double precompute_seconds)
       : method_(std::move(method)),
         cycle_(std::move(cycle)),
+        num_nodes_(num_nodes),
         encoding_(encoding),
         precompute_seconds_(precompute_seconds) {}
 
@@ -93,7 +95,8 @@ class FullCycleSystem final : public AirSystem {
                                 const ClientOptions& options = {},
                                 QueryScratch* scratch =
                                     nullptr) const override {
-    ClientRun run(channel, StartPosition(channel, query), options, scratch);
+    ClientRun run(channel, StartPosition(channel, query), num_nodes_, options,
+                  scratch);
     QueryScratch& s = run.scratch();
     typename Method::Query client(method_, run);
     const Status receive_status = ReceiveFullCycleCached(
@@ -126,6 +129,7 @@ class FullCycleSystem final : public AirSystem {
  private:
   const Method method_;
   broadcast::BroadcastCycle cycle_;
+  size_t num_nodes_;
   broadcast::CycleEncoding encoding_;
   double precompute_seconds_;
 };
@@ -142,7 +146,7 @@ Result<std::unique_ptr<AirSystem>> MakeFullCycleSystem(
   AIRINDEX_ASSIGN_OR_RETURN(
       auto cycle, std::move(builder).Finalize(/*require_index=*/false));
   return std::unique_ptr<AirSystem>(new FullCycleSystem<Method>(
-      std::move(method), std::move(cycle), config.encoding,
+      std::move(method), std::move(cycle), g.num_nodes(), config.encoding,
       precompute_seconds));
 }
 

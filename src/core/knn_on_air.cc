@@ -1,13 +1,11 @@
 #include "core/knn_on_air.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 
 #include "algo/dijkstra.h"
 #include "core/client_run.h"
 #include "core/partial_graph.h"
-#include "core/repair.h"
 
 namespace airindex::core {
 
@@ -22,7 +20,7 @@ KnnResult RunKnnQuery(const EbSystem& system,
     return result;
   }
   ClientRun run(channel, TuneInPosition(system.cycle(), query.tune_phase),
-                options, /*scratch=*/nullptr);
+                system.index().num_nodes, options, /*scratch=*/nullptr);
   const std::optional<EbTuneIn> tune_in =
       TuneInEbIndex(run, query.source_coord, options.max_repair_cycles);
   if (!tune_in.has_value()) return result;
@@ -39,48 +37,43 @@ KnnResult RunKnnQuery(const EbSystem& system,
   }
   std::sort(frontier.begin(), frontier.end());
 
-  std::vector<uint8_t> is_poi;
-  for (graph::NodeId p : poi_nodes) {
-    if (p >= is_poi.size()) is_poi.resize(p + 1, 0);
-    is_poi[p] = 1;
-  }
+  std::vector<graph::NodeId> pois = poi_nodes;
+  std::sort(pois.begin(), pois.end());
+  pois.erase(std::unique(pois.begin(), pois.end()), pois.end());
   run.cpu_ms += sw_setup.ElapsedMs();
 
-  const PartialGraph& pg = run.scratch().partial_graph;
-  auto receive_region = [&](graph::RegionId r) {
-    const EbIndex::RegionDir& d = index.dir[r];
-    std::deque<broadcast::ReceivedSegment> segs;
-    std::vector<PendingRepair> pending;
-    for (int part = 0; part < (d.local_packets > 0 ? 2 : 1); ++part) {
-      const uint32_t start = part == 0 ? d.cross_start : d.local_start;
-      segs.push_back(ReceiveSegmentAt(run.session, start));
-      run.memory.Charge(segs.back().payload.size());
-      if (!segs.back().complete) pending.push_back({start, &segs.back()});
-    }
-    if (!pending.empty()) {
-      RepairAllSegments(run.session, pending, options.max_repair_cycles);
-    }
+  // Every segment of a region is ingested, and the region counted, even
+  // when its cross segment is invalid.
+  auto ingest_region = [&](broadcast::ReceivedSegment& cross,
+                           broadcast::ReceivedSegment* local) {
     device::Stopwatch sw;
-    for (const auto& seg : segs) {
-      run.IngestRegion(seg, system.encoding());
-      run.memory.Release(seg.payload.size());
+    run.IngestRegion(cross, system.encoding());
+    run.memory.Release(cross.payload.size());
+    if (local != nullptr) {
+      run.IngestRegion(*local, system.encoding());
+      run.memory.Release(local->payload.size());
     }
     ++run.metrics.regions_received;
     run.cpu_ms += sw.ElapsedMs();
   };
+  RegionFetch fetch(run, ingest_region);
 
   // Incremental expansion: receive the next-closest region, re-evaluate
   // the k-th best POI distance over the received union, stop once the next
   // region cannot possibly improve it.
+  QueryScratch& s = run.scratch();
+  const PartialGraph& pg = s.partial_graph;
+  std::vector<std::pair<graph::Dist, graph::NodeId>> found;
   auto kth_best = [&]() -> graph::Dist {
     device::Stopwatch sw;
-    algo::SearchTree tree = algo::DijkstraSearch(
-        pg, query.source, graph::kInvalidNode, KnownEdgeFilter{&pg});
-    std::vector<std::pair<graph::Dist, graph::NodeId>> found;
-    for (graph::NodeId v = 0;
-         v < std::min<size_t>(tree.dist.size(), is_poi.size()); ++v) {
-      if (is_poi[v] && tree.dist[v] != graph::kInfDist) {
-        found.emplace_back(tree.dist[v], v);
+    found.clear();
+    // A source past every received id has nothing to search from.
+    if (query.source < pg.num_nodes()) {
+      algo::DijkstraSearch(pg, query.source, graph::kInvalidNode,
+                           KnownEdgeFilter{&pg}, s.search);
+      for (graph::NodeId p : pois) {
+        const graph::Dist d = s.search.DistTo(p);
+        if (d != graph::kInfDist) found.emplace_back(d, p);
       }
     }
     std::sort(found.begin(), found.end());
@@ -94,7 +87,11 @@ KnnResult RunKnnQuery(const EbSystem& system,
   graph::Dist bound = graph::kInfDist;
   for (size_t i = 0; i < frontier.size(); ++i) {
     if (frontier[i].first > bound) break;  // no region can improve the kNN
-    receive_region(frontier[i].second);
+    const EbIndex::RegionDir& d = index.dir[frontier[i].second];
+    fetch.Fetch(d.cross_start, d.local_packets > 0
+                                   ? std::optional<uint32_t>(d.local_start)
+                                   : std::nullopt);
+    fetch.Flush(options.max_repair_cycles);
     bound = kth_best();
   }
 

@@ -15,22 +15,12 @@
 namespace airindex::core {
 namespace {
 
-using broadcast::kPayloadSize;
+using broadcast::PayloadPackets;
 using broadcast::ReceivedSegment;
-
-uint32_t PayloadPackets(size_t bytes) {
-  return bytes == 0 ? 1
-                    : static_cast<uint32_t>((bytes + kPayloadSize - 1) /
-                                            kPayloadSize);
-}
-
-bool RangeOkClamped(const ReceivedSegment& seg, size_t begin, size_t end) {
-  return seg.RangeOk(begin, std::min(end, seg.payload.size()));
-}
 
 bool RangeOkClamped(const ReceivedSegment& seg,
                     std::pair<size_t, size_t> range) {
-  return RangeOkClamped(seg, range.first, range.second);
+  return seg.RangeOk(range.first, std::min(range.second, seg.payload.size()));
 }
 
 /// Reads a geometry entry straight out of a (possibly holey) index payload.
@@ -74,23 +64,8 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
   // Region payloads with the §4.1 cross-border/local split (NR clients
   // receive only the cross segment of intermediate regions, which is what
   // makes NR's tuning time a subset of EB's).
-  struct RegionPayloads {
-    std::vector<uint8_t> cross;
-    std::vector<uint8_t> local;
-  };
-  std::vector<RegionPayloads> payloads(R);
-  for (graph::RegionId r = 0; r < R; ++r) {
-    std::vector<graph::NodeId> cross_nodes, local_nodes;
-    for (graph::NodeId v : pre.part.region_nodes[r]) {
-      (pre.cross_border[v] ? cross_nodes : local_nodes).push_back(v);
-    }
-    payloads[r].cross = EncodeRegionData(g, pre.borders.region_border[r],
-                                         cross_nodes, config.encoding);
-    if (!local_nodes.empty()) {
-      payloads[r].local = EncodeRegionData(g, {}, local_nodes,
-                                           config.encoding);
-    }
-  }
+  std::vector<RegionPayloads> payloads =
+      EncodeRegionPayloads(g, pre, config.encoding);
 
   // Layout: [A^0][cross_0][local_0?][A^1][cross_1]... with fixed-size local
   // indexes.
@@ -160,18 +135,7 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
     idx_seg.is_index = true;
     idx_seg.payload = sys->indexes_[m].Encode();
     builder.Add(std::move(idx_seg));
-    broadcast::Segment cross_seg;
-    cross_seg.type = broadcast::SegmentType::kNetworkData;
-    cross_seg.id = m;
-    cross_seg.payload = std::move(payloads[m].cross);
-    builder.Add(std::move(cross_seg));
-    if (!payloads[m].local.empty()) {
-      broadcast::Segment local_seg;
-      local_seg.type = broadcast::SegmentType::kNetworkData;
-      local_seg.id = m;
-      local_seg.payload = std::move(payloads[m].local);
-      builder.Add(std::move(local_seg));
-    }
+    AddRegionSegments(&builder, m, std::move(payloads[m]));
   }
   AIRINDEX_ASSIGN_OR_RETURN(sys->cycle_, std::move(builder).Finalize());
   return sys;
@@ -180,48 +144,14 @@ Result<std::unique_ptr<NrSystem>> NrSystem::BuildFromPrecompute(
 device::QueryMetrics NrSystem::RunQuery(
     const broadcast::BroadcastChannel& channel, const AirQuery& query,
     const ClientOptions& options, QueryScratch* scratch) const {
-  ClientRun run(channel, StartPosition(channel, query), options, scratch);
+  ClientRun run(channel, StartPosition(channel, query),
+                indexes_.front().num_nodes, options, scratch);
   QueryScratch& s = run.scratch();
   const uint32_t total = cycle_.total_packets();
-  const bool cache_on = s.session.Ready(channel);
-
-  // Serves a segment from the session cache when possible; otherwise
-  // listens for it and caches the result. Cached copies are complete by
-  // construction, so downstream completeness checks behave as on a
-  // lossless channel.
-  auto fetch_segment = [&](uint32_t start, ReceivedSegment* out) {
-    if (cache_on && s.session.Load(start, out)) {
-      s.session.CountHit();
-      return;
-    }
-    broadcast::ReceiveSegmentAt(run.session, start, out);
-    if (cache_on) s.session.Store(start, *out);
-  };
-
-  // --- 1. Find and receive the next local index (every header points at
-  // one; tuning in right at an index start uses that very copy) ----------
-  uint32_t idx_start = 0;
-  auto receive_some_index = [&](ReceivedSegment* out, bool* ok) {
-    const std::optional<uint32_t> start =
-        broadcast::ReceiveIndexCopy(run.session, 256, out);
-    *ok = start.has_value();
-    if (*ok) idx_start = *start;
-  };
-
-  bool found = false;
 
   SuperEdgeProcessor super(query.source, query.target);
   SuperEdgeProcessor* collapse = options.memory_bound ? &super : nullptr;
-  std::vector<uint8_t>& received = s.region_flags;
-  received.clear();
-  bool mapped = false;
-  graph::RegionId rs = 0, rt = 0;
-  uint32_t R = 0;
-  int first_index_id = -1;
-  int expected_id = -1;  // id of the index currently in *idx_seg
-  bool index_charged = false;
-  bool progressed = false;
-
+  // A region whose cross segment is invalid is released, uncounted.
   auto ingest_region = [&](ReceivedSegment& cross, ReceivedSegment* local) {
     device::Stopwatch sw;
     if (run.IngestRegionPair(cross, local, encoding_, collapse)) {
@@ -231,16 +161,27 @@ device::QueryMetrics NrSystem::RunQuery(
     if (local != nullptr) run.memory.Release(local->payload.size());
     run.cpu_ms += sw.ElapsedMs();
   };
+  RegionFetch fetch(run, ingest_region);
+  const bool cache_on = fetch.cache_on();
 
-  // --- 2. Chain through local indexes (Algorithm 2 + §6.2) --------------
-  struct StashedRegion {
-    ReceivedSegment* cross = nullptr;
-    ReceivedSegment* local = nullptr;
-    bool want_local = false;
-    uint32_t cross_start = 0;
-    uint32_t local_start = 0;
+  // --- 1. Find and receive the next local index (every header points at
+  // one; tuning in right at an index start uses that very copy) ----------
+  uint32_t idx_start = 0;
+  auto receive_some_index = [&](ReceivedSegment* out) {
+    const std::optional<uint32_t> start =
+        broadcast::ReceiveIndexCopy(run.session, 256, out);
+    if (start.has_value()) idx_start = *start;
+    return start.has_value();
   };
-  std::vector<StashedRegion> stash;  // loss path only; empty => no alloc
+
+  std::vector<uint8_t>& received = s.region_flags;
+  received.clear();
+  bool mapped = false;
+  graph::RegionId rs = 0, rt = 0;
+  uint32_t R = 0;
+  int first_index_id = -1;
+  int expected_id = -1;  // id of the index currently in *idx_seg
+  bool progressed = false;
 
   ReceivedSegment* idx_seg = s.segments.Acquire();
   // A warm session replays the remembered entry index instead of probing
@@ -250,16 +191,12 @@ device::QueryMetrics NrSystem::RunQuery(
     idx_start = s.session.index_start();
     s.session.LoadIndex(idx_seg);
     s.session.CountHit();
-    found = true;
-  } else {
-    receive_some_index(idx_seg, &found);
+  } else if (!receive_some_index(idx_seg)) {
+    return run.metrics;
   }
-  if (!found) return run.metrics;
-  if (!index_charged) {
-    run.memory.Charge(idx_seg->payload.size());
-    index_charged = true;
-  }
+  run.memory.Charge(idx_seg->payload.size());
 
+  // --- 2. Chain through local indexes (Algorithm 2 + §6.2) --------------
   const uint32_t kMaxSteps = 2 * 256 + 32;
   for (uint32_t step = 0; step < kMaxSteps; ++step) {
     if (!mapped) {
@@ -274,9 +211,7 @@ device::QueryMetrics NrSystem::RunQuery(
           reg_count >= 2 && reg_count <= 256 &&
           RangeOkClamped(*idx_seg, NrIndex::SplitsRange(reg_count));
       if (!header_ok) {
-        bool ok = false;
-        receive_some_index(idx_seg, &ok);
-        if (!ok) return run.metrics;
+        if (!receive_some_index(idx_seg)) return run.metrics;
         continue;
       }
       device::Stopwatch sw_map;
@@ -340,87 +275,35 @@ device::QueryMetrics NrSystem::RunQuery(
         idx_start =
             (geom.cross_start + geom.cross_packets + geom.local_packets) %
             total;
-        fetch_segment(idx_start, idx_seg);
+        fetch.FetchSegment(idx_start, idx_seg);
         expected_id = (expected_id + 1) % static_cast<int>(R);
         progressed = true;
         continue;
       }
     }
 
-    // Receive the region's cross segment, optionally its local segment
-    // (endpoint regions only), then the adjacent next index. Damaged
-    // regions are stashed and repaired together after the chain finishes
-    // (§6.2 — one repair sweep per cycle fixes everything that was lost).
-    ReceivedSegment* cross = s.segments.Acquire();
-    fetch_segment(geom.cross_start, cross);
-    run.memory.Charge(cross->payload.size());
+    // Receive the region's cross segment, its local segment for endpoint
+    // regions only, then the adjacent next index. Damaged regions wait in
+    // the fetch's stash for one repair sweep after the chain (§6.2).
     const bool want_local =
         geom.local_packets > 0 && (region_id == rs || region_id == rt);
-    ReceivedSegment* local = nullptr;
-    if (want_local) {
-      local = s.segments.Acquire();
-      fetch_segment((geom.cross_start + geom.cross_packets) % total, local);
-      run.memory.Charge(local->payload.size());
-    }
-    const uint32_t next_idx_start =
+    fetch.Fetch(geom.cross_start,
+                want_local ? std::optional<uint32_t>(
+                                 (geom.cross_start + geom.cross_packets) %
+                                 total)
+                           : std::nullopt);
+    idx_start =
         (geom.cross_start + geom.cross_packets + geom.local_packets) % total;
-    ReceivedSegment* next_idx = s.segments.Acquire();
-    fetch_segment(next_idx_start, next_idx);
-
-    if (cross->complete && (!want_local || local->complete)) {
-      ingest_region(*cross, local);
-      s.segments.Recycle(cross);
-      if (local != nullptr) s.segments.Recycle(local);
-    } else {
-      stash.push_back({cross, local, want_local, geom.cross_start,
-                       (geom.cross_start + geom.cross_packets) % total});
-    }
+    fetch.FetchSegment(idx_start, idx_seg);
     received[region_id] = 1;
     progressed = true;
-    s.segments.Recycle(idx_seg);
-    idx_seg = next_idx;
-    idx_start = next_idx_start;
     expected_id = static_cast<int>((region_id + 1) % R);
   }
-
-  // Repair sweep over everything the chain could not complete, then ingest.
-  if (!stash.empty()) {
-    std::vector<PendingRepair> pending;
-    for (auto& st : stash) {
-      if (!st.cross->complete) {
-        pending.push_back({st.cross_start, st.cross});
-      }
-      if (st.want_local && !st.local->complete) {
-        pending.push_back({st.local_start, st.local});
-      }
-    }
-    RepairAllSegments(run.session, pending, options.max_repair_cycles);
-    for (auto& st : stash) {
-      if (cache_on) {
-        // Store() keeps only segments the repairs completed.
-        s.session.Store(st.cross_start, *st.cross);
-        if (st.want_local) s.session.Store(st.local_start, *st.local);
-      }
-      ingest_region(*st.cross, st.local);
-    }
-  }
+  fetch.Flush(options.max_repair_cycles);
 
   // --- 3. Local search ----------------------------------------------------
-  device::Stopwatch sw_search;
-  graph::Dist dist = graph::kInfDist;
-  if (mapped) {
-    if (options.memory_bound) {
-      dist = super.Solve();
-    } else if (s.partial_graph.Has(query.source) &&
-               s.partial_graph.Has(query.target)) {
-      // An endpoint region lost for good leaves nothing to search.
-      const PartialGraph& pg = s.partial_graph;
-      algo::DijkstraSearch(pg, query.source, query.target,
-                           KnownEdgeFilter{&pg}, s.search);
-      dist = s.search.DistTo(query.target);
-    }
-  }
-  run.cpu_ms += sw_search.ElapsedMs();
+  const graph::Dist dist =
+      mapped ? run.SearchRegions(query, collapse) : graph::kInfDist;
   return run.Finish(dist, dist != graph::kInfDist);
 }
 

@@ -4,7 +4,8 @@
 
 namespace airindex::core {
 
-void PartialGraph::Reset() {
+void PartialGraph::Reset(size_t node_count) {
+  node_limit_ = node_count;
   ++generation_;
   if (generation_ == 0) {  // stamp wrap: hard-reset once
     std::fill(node_gen_.begin(), node_gen_.end(), 0);
@@ -27,6 +28,7 @@ std::vector<graph::Graph::Arc>& PartialGraph::ChunkWithRoom(size_t need) {
 }
 
 void PartialGraph::AddRecord(const broadcast::NodeRecord& rec) {
+  if (rec.id >= node_limit_) return;
   if (rec.id >= entries_.size()) {
     entries_.resize(rec.id + 1);
     coords_.resize(rec.id + 1);

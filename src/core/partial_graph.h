@@ -1,6 +1,7 @@
 #ifndef AIRINDEX_CORE_PARTIAL_GRAPH_H_
 #define AIRINDEX_CORE_PARTIAL_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -42,11 +43,16 @@ class PartialGraph {
 
   PartialGraph() = default;
 
-  /// Forgets every received record in O(1), keeping all storage for reuse.
-  void Reset();
+  /// Forgets every received record in O(1), keeping all storage for reuse,
+  /// and bounds the ids AddRecord accepts to [0, node_count): the node
+  /// count of the network the next query runs against.
+  void Reset(size_t node_count);
 
   /// Ingests one decoded adjacency record. Duplicate receipt (e.g. a region
-  /// received again during loss repair) is a no-op.
+  /// received again during loss repair) is a no-op, and so is a record
+  /// whose id is at or past the node count given to Reset (a misparse of
+  /// a segment still holed after the repair budget); before any Reset,
+  /// every id is accepted.
   void AddRecord(const broadcast::NodeRecord& rec);
 
   bool Has(graph::NodeId v) const {
@@ -97,6 +103,7 @@ class PartialGraph {
   std::vector<graph::Point> coords_;
   std::vector<uint32_t> node_gen_;
   uint32_t generation_ = 1;
+  size_t node_limit_ = SIZE_MAX;
   size_t known_count_ = 0;
   size_t arc_count_ = 0;
 };

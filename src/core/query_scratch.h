@@ -21,8 +21,8 @@
 namespace airindex::core {
 
 /// Pool of ReceivedSegment buffers for clients that hold several segments
-/// at once (EB/NR: the current index copy, per-region cross/local segments,
-/// the §6.2 repair stash). Acquire() hands out slots with stable addresses
+/// at once (EB/NR: the current index copy; every RegionFetch: per-region
+/// cross/local segments and the §6.2 repair stash). Acquire() hands out slots with stable addresses
 /// (deque-backed — stash entries keep pointers across later Acquires);
 /// Recycle() returns a slot for reuse within the same query, Reset() frees
 /// every slot logically while keeping all payload/mask allocations, so a
@@ -74,7 +74,7 @@ struct QueryScratch {
   algo::SearchWorkspace search;
   /// The client-side network picture (pooled arc storage).
   PartialGraph partial_graph;
-  /// Segment buffers of the selective-tuning clients (EB/NR).
+  /// Segment buffers of the selective-tuning clients (EB, NR, kNN, range).
   SegmentArena segments;
   /// Segment buffers of the full-cycle clients (DJ/LD/AF/SPQ/HiTi).
   FullCycleScratch full_cycle;
@@ -114,10 +114,11 @@ struct QueryScratch {
   /// caching is on (null = validate locally, the historical behaviour).
   DecodedSlotCache* decode_cache = nullptr;
 
-  /// Readies the scratch for a fresh query: O(1) generation bumps and
-  /// cursor resets; every allocation is kept.
-  void BeginQuery() {
-    partial_graph.Reset();
+  /// Readies the scratch for a fresh query against a network of
+  /// `num_nodes` nodes: O(1) generation bumps and cursor resets; every
+  /// allocation is kept.
+  void BeginQuery(size_t num_nodes) {
+    partial_graph.Reset(num_nodes);
     segments.Reset();
     needed_regions.clear();
     edges.clear();

@@ -1,13 +1,11 @@
 #include "core/range_on_air.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 
 #include "algo/dijkstra.h"
 #include "core/client_run.h"
 #include "core/partial_graph.h"
-#include "core/repair.h"
 
 namespace airindex::core {
 
@@ -16,10 +14,8 @@ RangeResult RunRangeQuery(const EbSystem& system,
                           const RangeQuery& query,
                           const ClientOptions& options) {
   RangeResult result;
-  const broadcast::BroadcastCycle& cycle = system.cycle();
-  ClientRun run(channel, TuneInPosition(cycle, query.tune_phase), options,
-                /*scratch=*/nullptr);
-  const uint32_t total = cycle.total_packets();
+  ClientRun run(channel, TuneInPosition(system.cycle(), query.tune_phase),
+                system.index().num_nodes, options, /*scratch=*/nullptr);
   const std::optional<EbTuneIn> tune_in =
       TuneInEbIndex(run, query.source_coord, options.max_repair_cycles);
   if (!tune_in.has_value()) return result;
@@ -37,19 +33,12 @@ RangeResult RunRangeQuery(const EbSystem& system,
 
   // Receive the needed regions (cross + local: results may be any node)
   // in broadcast order; batch-repair losses.
-  std::sort(needed.begin(), needed.end(),
-            [&](graph::RegionId a, graph::RegionId b) {
-              const uint32_t cur = run.session.cycle_pos();
-              auto ahead = [&](graph::RegionId r) {
-                const uint32_t s = index.dir[r].cross_start;
-                return s >= cur ? s - cur : s + total - cur;
-              };
-              return ahead(a) < ahead(b);
-            });
+  SortInBroadcastOrder(run, index, &needed);
 
-  std::deque<broadcast::ReceivedSegment> stash;
-  std::vector<PendingRepair> pending;
-  auto ingest = [&](const broadcast::ReceivedSegment& seg) {
+  // Cross and local segments are fetched as regions of their own, so a
+  // complete cross segment is ingested even when the local one is damaged.
+  auto ingest = [&](broadcast::ReceivedSegment& seg,
+                    broadcast::ReceivedSegment* /*local*/) {
     device::Stopwatch sw;
     if (run.IngestRegion(seg, system.encoding())) {
       ++run.metrics.regions_received;
@@ -57,36 +46,27 @@ RangeResult RunRangeQuery(const EbSystem& system,
     run.memory.Release(seg.payload.size());
     run.cpu_ms += sw.ElapsedMs();
   };
-
+  RegionFetch fetch(run, ingest);
   for (graph::RegionId r : needed) {
     const EbIndex::RegionDir& d = index.dir[r];
-    for (int part = 0; part < (d.local_packets > 0 ? 2 : 1); ++part) {
-      const uint32_t start = part == 0 ? d.cross_start : d.local_start;
-      broadcast::ReceivedSegment seg = ReceiveSegmentAt(run.session, start);
-      run.memory.Charge(seg.payload.size());
-      if (seg.complete) {
-        ingest(seg);
-      } else {
-        stash.push_back(std::move(seg));
-        pending.push_back({start, &stash.back()});
-      }
-    }
+    fetch.Fetch(d.cross_start, std::nullopt);
+    if (d.local_packets > 0) fetch.Fetch(d.local_start, std::nullopt);
   }
-  if (!pending.empty()) {
-    RepairAllSegments(run.session, pending, options.max_repair_cycles);
-    for (const auto& seg : stash) ingest(seg);
-  }
+  fetch.Flush(options.max_repair_cycles);
 
   // Dijkstra over the received union; nodes beyond the radius are filtered
   // out afterwards (the search could early-terminate at the radius, but
   // the received subgraph is already radius-pruned by region).
   device::Stopwatch sw_search;
-  const PartialGraph& pg = run.scratch().partial_graph;
-  algo::SearchTree full = algo::DijkstraSearch(
-      pg, query.source, graph::kInvalidNode, KnownEdgeFilter{&pg});
-  for (graph::NodeId v = 0; v < full.dist.size(); ++v) {
-    if (full.dist[v] <= query.radius) {
-      result.nodes.emplace_back(v, full.dist[v]);
+  QueryScratch& s = run.scratch();
+  const PartialGraph& pg = s.partial_graph;
+  // A source past every received id has nothing to search from.
+  if (query.source < pg.num_nodes()) {
+    algo::DijkstraSearch(pg, query.source, graph::kInvalidNode,
+                         KnownEdgeFilter{&pg}, s.search);
+    for (graph::NodeId v = 0; v < pg.num_nodes(); ++v) {
+      const graph::Dist d = s.search.DistTo(v);
+      if (d <= query.radius) result.nodes.emplace_back(v, d);
     }
   }
   std::sort(result.nodes.begin(), result.nodes.end(),

@@ -26,6 +26,35 @@ std::vector<uint8_t> EncodeRegionData(
   return out;
 }
 
+std::vector<RegionPayloads> EncodeRegionPayloads(
+    const graph::Graph& g, const BorderPrecompute& pre,
+    broadcast::CycleEncoding encoding) {
+  std::vector<RegionPayloads> payloads(pre.num_regions);
+  for (graph::RegionId r = 0; r < pre.num_regions; ++r) {
+    std::vector<graph::NodeId> cross_nodes, local_nodes;
+    for (graph::NodeId v : pre.part.region_nodes[r]) {
+      (pre.cross_border[v] ? cross_nodes : local_nodes).push_back(v);
+    }
+    payloads[r].cross = EncodeRegionData(g, pre.borders.region_border[r],
+                                         cross_nodes, encoding);
+    if (!local_nodes.empty()) {
+      payloads[r].local = EncodeRegionData(g, {}, local_nodes, encoding);
+    }
+  }
+  return payloads;
+}
+
+void AddRegionSegments(broadcast::CycleBuilder* builder, graph::RegionId r,
+                       RegionPayloads&& payloads) {
+  builder->Add({.type = broadcast::SegmentType::kNetworkData,
+                .id = r,
+                .payload = std::move(payloads.cross)});
+  if (payloads.local.empty()) return;
+  builder->Add({.type = broadcast::SegmentType::kNetworkData,
+                .id = r,
+                .payload = std::move(payloads.local)});
+}
+
 Result<RegionData> DecodeRegionData(const std::vector<uint8_t>& payload,
                                     broadcast::CycleEncoding encoding) {
   if (payload.size() < 2) return Status::DataLoss("truncated region header");

@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "broadcast/cycle.h"
 #include "broadcast/serialization.h"
 #include "common/result.h"
+#include "core/border_precompute.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
@@ -32,6 +34,25 @@ std::vector<uint8_t> EncodeRegionData(
     const graph::Graph& g, const std::vector<graph::NodeId>& border,
     const std::vector<graph::NodeId>& nodes,
     broadcast::CycleEncoding encoding = broadcast::CycleEncoding::kLegacy);
+
+/// One region's data under the §4.1 split EB and NR share: the cross
+/// segment holds the region's border list and every node that lies on a
+/// recorded border-pair shortest path, the local segment the rest (empty
+/// when there is none).
+struct RegionPayloads {
+  std::vector<uint8_t> cross;
+  std::vector<uint8_t> local;
+};
+
+/// Encodes every region's RegionPayloads from the border pre-computation.
+std::vector<RegionPayloads> EncodeRegionPayloads(
+    const graph::Graph& g, const BorderPrecompute& pre,
+    broadcast::CycleEncoding encoding);
+
+/// Appends region `r`'s cross segment and, when non-empty, its local
+/// segment as kNetworkData segments with id `r`.
+void AddRegionSegments(broadcast::CycleBuilder* builder, graph::RegionId r,
+                       RegionPayloads&& payloads);
 
 /// Decodes a region payload. Fails on truncation.
 Result<RegionData> DecodeRegionData(

@@ -41,12 +41,14 @@ TEST(ArcFlagTest, BytesPerArcIsTwoPerRegion) {
 }
 
 TEST(ArcFlagTest, IntraRegionArcsAlwaysFlagged) {
-  auto built = Make(200, 320, 3, 8);
-  const auto& labels = built.idx.node_region();
+  graph::Graph g = SmallNetwork(200, 320, 3);
+  auto kd = partition::KdTreePartitioner::Build(g, 8).value();
+  const auto part = kd.Partition(g);
+  const auto idx = ArcFlagIndex::Build(g, part.node_region, 8).value();
   size_t arc_index = 0;
-  for (graph::NodeId v = 0; v < built.g.num_nodes(); ++v) {
-    for (const auto& arc : built.g.OutArcs(v)) {
-      EXPECT_TRUE(built.idx.ArcAllowed(arc_index, labels[arc.to]));
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const auto& arc : g.OutArcs(v)) {
+      EXPECT_TRUE(idx.ArcAllowed(arc_index, part.node_region[arc.to]));
       ++arc_index;
     }
   }
@@ -77,45 +79,6 @@ TEST(ArcFlagTest, PrunesSearchSpaceForCrossRegionQueries) {
     plain_total += DijkstraSearch(built.g, s, t, AllEdges{}).settled;
   }
   EXPECT_LT(flagged_total, plain_total);
-}
-
-TEST(ArcFlagTest, SetAllFlagsMakesArcAlwaysAllowed) {
-  auto built = Make(100, 160, 4, 8);
-  ArcFlagIndex empty = ArcFlagIndex::MakeEmpty(built.g.num_arcs(), 8,
-                                               built.idx.node_region());
-  EXPECT_FALSE(empty.ArcAllowed(0, 3));
-  empty.SetAllFlags(0);
-  for (graph::RegionId r = 0; r < 8; ++r) {
-    EXPECT_TRUE(empty.ArcAllowed(0, r));
-  }
-}
-
-TEST(ArcFlagTest, AllOnesIndexStillExact) {
-  // The §6.2 loss fallback: flags all set degrade to plain Dijkstra.
-  auto built = Make(200, 320, 5, 8);
-  ArcFlagIndex allones = ArcFlagIndex::MakeEmpty(built.g.num_arcs(), 8,
-                                                 built.idx.node_region());
-  for (size_t a = 0; a < built.g.num_arcs(); ++a) allones.SetAllFlags(a);
-  for (auto [s, t] : RandomPairs(built.g, 10, 6)) {
-    EXPECT_EQ(allones.Query(built.g, s, t).dist,
-              DijkstraPath(built.g, s, t).dist);
-  }
-}
-
-TEST(ArcFlagTest, WordSerializationRoundTrip) {
-  auto built = Make(150, 240, 7, 16);
-  // Rebuild an index from the exported words and compare behaviour.
-  ArcFlagIndex copy = ArcFlagIndex::MakeEmpty(built.g.num_arcs(), 16,
-                                              built.idx.node_region());
-  for (size_t a = 0; a < built.g.num_arcs(); ++a) {
-    for (graph::RegionId r = 0; r < 16; ++r) {
-      if (built.idx.ArcAllowed(a, r)) copy.SetArcFlag(a, r);
-    }
-  }
-  for (auto [s, t] : RandomPairs(built.g, 10, 8)) {
-    EXPECT_EQ(copy.Query(built.g, s, t).dist,
-              built.idx.Query(built.g, s, t).dist);
-  }
 }
 
 }  // namespace

@@ -132,7 +132,7 @@ TEST(PartialGraphTest, ResetForgetsEverythingInO1) {
   graph::Graph g = SmallNetwork(100, 160, 8);
   PartialGraph pg;
   for (graph::NodeId v = 0; v < 20; ++v) pg.AddRecord(RecordOf(g, v));
-  pg.Reset();
+  pg.Reset(g.num_nodes());
   EXPECT_EQ(pg.known_count(), 0u);
   EXPECT_EQ(pg.arc_count(), 0u);
   EXPECT_EQ(pg.MemoryBytes(), 0u);
@@ -142,6 +142,26 @@ TEST(PartialGraphTest, ResetForgetsEverythingInO1) {
   }
 }
 
+// A record id at or past the node count given to Reset is what a segment
+// still holed after the repair budget misparses into; it must be dropped,
+// not grow the arrays to the id.
+TEST(PartialGraphTest, ResetBoundsRecordIds) {
+  graph::Graph g = SmallNetwork(100, 160, 8);
+  PartialGraph pg;
+  pg.Reset(g.num_nodes());
+  broadcast::NodeRecord garbage = RecordOf(g, 7);
+  garbage.id = static_cast<graph::NodeId>(g.num_nodes());
+  pg.AddRecord(garbage);
+  garbage.id = 0xfffffff0u;
+  pg.AddRecord(garbage);
+  EXPECT_EQ(pg.known_count(), 0u);
+  EXPECT_EQ(pg.MemoryBytes(), 0u);
+  EXPECT_EQ(pg.num_nodes(), 0u);
+  pg.AddRecord(RecordOf(g, static_cast<graph::NodeId>(g.num_nodes() - 1)));
+  EXPECT_EQ(pg.known_count(), 1u);
+  EXPECT_EQ(pg.num_nodes(), g.num_nodes());
+}
+
 // A reused PartialGraph must behave exactly like a fresh one: same
 // adjacency, same coords, same search results — across many resets and
 // differently-shaped ingests (the QueryScratch reuse pattern).
@@ -149,7 +169,7 @@ TEST(PartialGraphTest, ReuseAcrossResetsMatchesFresh) {
   graph::Graph g = SmallNetwork(200, 320, 9);
   PartialGraph reused;
   for (int round = 0; round < 5; ++round) {
-    reused.Reset();
+    reused.Reset(g.num_nodes());
     PartialGraph fresh;
     // Ingest a round-dependent subset in a round-dependent order.
     for (graph::NodeId v = round; v < g.num_nodes();

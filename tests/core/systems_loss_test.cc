@@ -168,7 +168,9 @@ TEST(SystemsLossTest, MemoryBoundClientsSurviveLoss) {
 /// partial graph that lacked the source or target record and write past
 /// its search arrays; AF wrote flags past the arcs of a graph rebuilt
 /// without some records, and HiTi looked up an endpoint's region past the
-/// end of such a graph.
+/// end of such a graph. At 0.5-0.7 a segment still holed after the repair
+/// budget misparses into records with any id, which the PartialGraph
+/// clients (DJ, LD, NR, EB) used to grow their arrays to.
 class SystemsHeavyLossTest
     : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
 
@@ -178,6 +180,7 @@ TEST_P(SystemsHeavyLossTest, LostEndpointsFailCleanly) {
   SystemParams params;
   params.arcflag_regions = 8;
   params.hiti_regions = 8;
+  params.eb_regions = 8;
   params.nr_regions = 8;
   params.landmarks = 3;
   auto w = workload::GenerateWorkload(g, 8, 702).value();
@@ -201,12 +204,10 @@ TEST_P(SystemsHeavyLossTest, LostEndpointsFailCleanly) {
   }
 }
 
-// Loss 0.5-0.7 stays off the PartialGraph clients (DJ, LD, NR): a
-// misparsed record there can still carry any id and ask for gigabytes.
 INSTANTIATE_TEST_SUITE_P(
     HeavyLoss, SystemsHeavyLossTest,
-    ::testing::Combine(::testing::Values("DJ", "LD", "NR"),
-                       ::testing::Values(0.9, 1.0)));
+    ::testing::Combine(::testing::Values("DJ", "LD", "NR", "EB"),
+                       ::testing::Values(0.5, 0.7, 0.9, 1.0)));
 INSTANTIATE_TEST_SUITE_P(
     RebuiltGraphHeavyLoss, SystemsHeavyLossTest,
     ::testing::Combine(::testing::Values("AF", "SPQ", "HiTi"),
