@@ -12,20 +12,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "core/border_precompute.h"
 #include "core/systems.h"
-#include "graph/catalog.h"
-#include "graph/generator.h"
 #include "graph/graph.h"
 #include "partition/kd_tree.h"
 #include "testing/metrics_digest.h"
+#include "testing/test_graphs.h"
 
 namespace airindex::core {
 namespace {
 
+using testing_support::DigestOf;
+using testing_support::Generated2000;
+using testing_support::Germany;
 using testing_support::Hex;
 using testing_support::MetricsDigest;
 
@@ -45,80 +46,32 @@ uint64_t DigestOf(const BorderPrecompute& pre) {
   return d.value();
 }
 
-uint64_t DigestOf(const broadcast::BroadcastCycle& cycle) {
-  MetricsDigest d;
-  d.Add(static_cast<uint64_t>(cycle.num_segments()));
-  for (size_t i = 0; i < cycle.num_segments(); ++i) {
-    const broadcast::Segment& seg = cycle.segment(i);
-    d.Add(static_cast<uint64_t>(seg.type));
-    d.Add(static_cast<uint64_t>(seg.id));
-    d.Add(static_cast<uint64_t>(seg.is_index));
-    d.Add(std::string_view(reinterpret_cast<const char*>(seg.payload.data()),
-                           seg.payload.size()));
-  }
-  return d.value();
-}
-
-graph::Graph Generated2000() {
-  graph::GenSpec spec;
-  spec.num_nodes = 2000;
-  spec.seed = 21;
-  return graph::GenerateRoadNetwork(spec).value();
-}
-
-graph::Graph Germany(double scale) {
-  return graph::MakeNetwork(graph::FindNetwork("Germany").value(), scale)
-      .value();
-}
-
 BorderPrecompute KdPrecompute(const graph::Graph& g, uint32_t regions) {
   auto kd = partition::KdTreePartitioner::Build(g, regions).value();
   return ComputeBorderPrecompute(g, kd.Partition(g)).value();
 }
 
-/// A 4x4 grid split into four 2x2 quadrant regions, with a zero-weight arc
-/// pair (ties between equal-length border paths), a one-way arc, and a
-/// three-node component no grid node can reach or be reached from — its
-/// nodes are border nodes of two regions whose searches reach nothing else.
+/// HandBuiltZeroWeight split into four 2x2 quadrant regions of its grid;
+/// the three-node component's nodes are border nodes of two regions whose
+/// searches reach nothing else.
 struct HandBuilt {
   graph::Graph g;
   partition::Partitioning part;
 };
 
 HandBuilt MakeHandBuilt() {
-  graph::GraphBuilder b;
-  for (int y = 0; y < 4; ++y) {
-    for (int x = 0; x < 4; ++x) {
-      b.AddNode({static_cast<double>(x), static_cast<double>(y)});
-    }
-  }
-  auto id = [](int x, int y) { return static_cast<graph::NodeId>(y * 4 + x); };
-  for (int y = 0; y < 4; ++y) {
-    for (int x = 0; x < 4; ++x) {
-      const graph::Weight w = static_cast<graph::Weight>(1 + (x * 3 + y) % 4);
-      if (x + 1 < 4) b.AddBidirectional(id(x, y), id(x + 1, y), w);
-      if (y + 1 < 4) b.AddBidirectional(id(x, y), id(x, y + 1), w + 1);
-    }
-  }
-  b.AddBidirectional(id(1, 1), id(2, 2), 0);  // zero-weight diagonal
-  b.AddArc(id(0, 3), id(3, 0), 2);            // one-way shortcut
-  const graph::NodeId i0 = b.AddNode({10.0, 10.0});
-  const graph::NodeId i1 = b.AddNode({11.0, 10.0});
-  const graph::NodeId i2 = b.AddNode({11.0, 11.0});
-  b.AddBidirectional(i0, i1, 3);
-  b.AddBidirectional(i1, i2, 0);
-
   HandBuilt out;
-  out.g = std::move(b).Build().value();
+  out.g = testing_support::HandBuiltZeroWeight();
   std::vector<graph::RegionId> labels(out.g.num_nodes());
   for (int y = 0; y < 4; ++y) {
     for (int x = 0; x < 4; ++x) {
-      labels[id(x, y)] = static_cast<graph::RegionId>((y / 2) * 2 + x / 2);
+      labels[testing_support::HandBuiltGridId(x, y)] =
+          static_cast<graph::RegionId>((y / 2) * 2 + x / 2);
     }
   }
-  labels[i0] = 1;
-  labels[i1] = 3;
-  labels[i2] = 3;
+  labels[16] = 1;
+  labels[17] = 3;
+  labels[18] = 3;
   out.part = partition::MakePartitioning(std::move(labels), 4);
   return out;
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 
+#include "broadcast/cycle.h"
 #include "device/metrics.h"
 #include "sim/simulator.h"
 
@@ -66,6 +67,22 @@ class MetricsDigest {
 inline uint64_t DigestOf(const sim::BatchResult& batch) {
   MetricsDigest d;
   d.Add(batch);
+  return d.value();
+}
+
+/// FNV-1a over a broadcast cycle: every segment's type, id, index flag and
+/// payload bytes, in cycle order. Equal digests mean the same aired bytes.
+inline uint64_t DigestOf(const broadcast::BroadcastCycle& cycle) {
+  MetricsDigest d;
+  d.Add(static_cast<uint64_t>(cycle.num_segments()));
+  for (size_t i = 0; i < cycle.num_segments(); ++i) {
+    const broadcast::Segment& seg = cycle.segment(i);
+    d.Add(static_cast<uint64_t>(seg.type));
+    d.Add(static_cast<uint64_t>(seg.id));
+    d.Add(static_cast<uint64_t>(seg.is_index));
+    d.Add(std::string_view(reinterpret_cast<const char*>(seg.payload.data()),
+                           seg.payload.size()));
+  }
   return d.value();
 }
 
