@@ -1,12 +1,15 @@
 // Micro benchmarks (google-benchmark) for the hot substrate operations:
 // Dijkstra throughput, kd-tree construction, border-pair pre-computation,
-// network generation, broadcast-cycle assembly, and the parallel
-// simulation engine's end-to-end client throughput.
+// the SPQ and AF server builds, network generation, broadcast-cycle
+// assembly, and the parallel simulation engine's end-to-end client
+// throughput.
 
 #include <benchmark/benchmark.h>
 
+#include "algo/arc_flags.h"
 #include "algo/dijkstra.h"
 #include "algo/search_workspace.h"
+#include "algo/spq.h"
 #include "core/border_precompute.h"
 #include "core/nr.h"
 #include "core/query_scratch.h"
@@ -112,6 +115,32 @@ void BM_BorderPrecompute(benchmark::State& state) {
 // 128 regions take two mask words per region pair.
 BENCHMARK(BM_BorderPrecompute)->Arg(16)->Arg(32)->Arg(128)->Unit(
     benchmark::kMillisecond);
+
+// Server builds of the two per-source baselines, timed by wall clock since
+// they fan out over every core: SPQ (one all-nodes Dijkstra + coloured
+// quadtree per node) and AF (one backward Dijkstra per border node of a
+// 16-region kd partition).
+void BM_SpqBuild(benchmark::State& state) {
+  const graph::Graph& g = BenchGraph();
+  for (auto _ : state) {
+    auto idx = algo::SpqIndex::Build(g).value();
+    benchmark::DoNotOptimize(idx.IndexBytes());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(g.num_nodes()));
+}
+BENCHMARK(BM_SpqBuild)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_ArcFlagBuild(benchmark::State& state) {
+  const graph::Graph& g = BenchGraph();
+  const auto part =
+      partition::KdTreePartitioner::Build(g, 16).value().Partition(g);
+  for (auto _ : state) {
+    auto idx = algo::ArcFlagIndex::Build(g, part.node_region, 16).value();
+    benchmark::DoNotOptimize(idx.MemoryBytes());
+  }
+}
+BENCHMARK(BM_ArcFlagBuild)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_NetworkGeneration(benchmark::State& state) {
   graph::GeneratorOptions opts;

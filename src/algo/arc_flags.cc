@@ -1,7 +1,5 @@
 #include "algo/arc_flags.h"
 
-#include <mutex>
-
 #include "algo/dijkstra.h"
 #include "common/thread_pool.h"
 
@@ -86,25 +84,34 @@ Result<ArcFlagIndex> ArcFlagIndex::Build(
 
   graph::Graph rev = g.Reversed();
 
-  // One backward Dijkstra per border node; each worker accumulates flags
-  // locally, then merges under a mutex (flag OR is commutative).
-  std::mutex merge_mu;
-  ParallelFor(border.size(), [&](size_t bi) {
+  // One backward Dijkstra per border node. Each worker keeps one workspace
+  // and its own flag words across the border nodes it claims; the words
+  // are OR-merged once at the end (flag OR is commutative, so the result
+  // is independent of which worker ran which border node).
+  struct WorkerState {
+    SearchWorkspace ws;
+    std::vector<uint64_t> flags;
+  };
+  std::vector<WorkerState> workers(ResolveWorkers(border.size(), 0));
+  ParallelForWorker(border.size(), [&](unsigned worker, size_t bi) {
+    WorkerState& st = workers[worker];
+    if (st.flags.empty()) st.flags.assign(idx.flags_.size(), 0);
     const graph::NodeId b = border[bi];
     const graph::RegionId region = node_region[b];
-    SearchTree tree = DijkstraAll(rev, b);
-    std::vector<size_t> flagged;
-    flagged.reserve(g.num_nodes());
+    const uint64_t bit = uint64_t{1} << (region % 64);
+    DijkstraAll(rev, b, st.ws);
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      graph::NodeId p = tree.parent[v];
+      const graph::NodeId p = st.ws.ParentOf(v);
       if (p == graph::kInvalidNode) continue;
       // Reverse-tree arc p->v corresponds to forward arc v->p on a shortest
       // v -> b path.
-      flagged.push_back(ArcIndexOf(g, first_arc, v, p));
+      st.flags[ArcIndexOf(g, first_arc, v, p) * idx.words_per_arc_ +
+               region / 64] |= bit;
     }
-    std::lock_guard<std::mutex> lock(merge_mu);
-    for (size_t a : flagged) idx.SetArcFlag(a, region);
   });
+  for (const WorkerState& st : workers) {
+    for (size_t i = 0; i < st.flags.size(); ++i) idx.flags_[i] |= st.flags[i];
+  }
 
   return idx;
 }

@@ -35,6 +35,37 @@ struct AllEdges {
   }
 };
 
+namespace detail {
+
+/// The loop behind DijkstraSearch and DijkstraAll: `on_settle(v)` sees
+/// every settled node in settle order. A no-op callback compiles away, so
+/// the plain search pays nothing for the hook.
+template <typename G, typename EdgeFilter, typename OnSettle>
+void DijkstraLoop(const G& g, NodeId source, NodeId target,
+                  EdgeFilter edge_filter, SearchWorkspace& ws,
+                  OnSettle&& on_settle) {
+  ws.BeginSearch(g.num_nodes());
+  auto& heap = ws.heap();
+  ws.TryImprove(source, 0, kInvalidNode);
+  heap.push({0, source});
+
+  while (!heap.empty()) {
+    auto [d, v] = heap.top();
+    heap.pop();
+    if (d != ws.TentativeDist(v)) continue;  // stale entry
+    ws.CountSettled();
+    on_settle(v);
+    if (v == target) break;
+    for (const auto& arc : g.OutArcs(v)) {
+      if (!edge_filter(v, arc)) continue;
+      Dist nd = d + arc.weight;
+      if (ws.TryImprove(arc.to, nd, v)) heap.push({nd, arc.to});
+    }
+  }
+}
+
+}  // namespace detail
+
 /// Generic Dijkstra over any graph type exposing
 ///   size_t num_nodes() const
 ///   <range of {to, weight}> OutArcs(NodeId) const
@@ -51,23 +82,7 @@ struct AllEdges {
 template <typename G, typename EdgeFilter>
 void DijkstraSearch(const G& g, NodeId source, NodeId target,
                     EdgeFilter edge_filter, SearchWorkspace& ws) {
-  ws.BeginSearch(g.num_nodes());
-  auto& heap = ws.heap();
-  ws.TryImprove(source, 0, kInvalidNode);
-  heap.push({0, source});
-
-  while (!heap.empty()) {
-    auto [d, v] = heap.top();
-    heap.pop();
-    if (d != ws.TentativeDist(v)) continue;  // stale entry
-    ws.CountSettled();
-    if (v == target) break;
-    for (const auto& arc : g.OutArcs(v)) {
-      if (!edge_filter(v, arc)) continue;
-      Dist nd = d + arc.weight;
-      if (ws.TryImprove(arc.to, nd, v)) heap.push({nd, arc.to});
-    }
-  }
+  detail::DijkstraLoop(g, source, target, edge_filter, ws, [](NodeId) {});
 }
 
 /// Single-source Dijkstra that stops once every node in `targets` is
@@ -112,10 +127,21 @@ void DijkstraToTargets(const G& g, NodeId source,
 }
 
 /// Full single-source Dijkstra (settles every reachable node) in the
-/// caller's workspace.
+/// caller's workspace. When `settle_order` is non-null it is cleared and
+/// receives every settled node in settle order, source first; as in
+/// DijkstraToTargets, a node's tree parent always precedes it, even across
+/// zero-weight arcs where parent and child tie on distance.
 template <typename G>
-void DijkstraAll(const G& g, NodeId source, SearchWorkspace& ws) {
-  DijkstraSearch(g, source, kInvalidNode, AllEdges{}, ws);
+void DijkstraAll(const G& g, NodeId source, SearchWorkspace& ws,
+                 std::vector<NodeId>* settle_order = nullptr) {
+  if (settle_order == nullptr) {
+    DijkstraSearch(g, source, kInvalidNode, AllEdges{}, ws);
+    return;
+  }
+  settle_order->clear();
+  detail::DijkstraLoop(
+      g, source, kInvalidNode, AllEdges{}, ws,
+      [settle_order](NodeId v) { settle_order->push_back(v); });
 }
 
 /// Copies the workspace's current search into a standalone SearchTree of

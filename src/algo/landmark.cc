@@ -24,17 +24,26 @@ Result<LandmarkIndex> LandmarkIndex::Build(const graph::Graph& g,
   // Farthest-point selection: the first landmark is the node farthest from a
   // random start; each next landmark maximizes the minimum distance to the
   // already-chosen set. This is the selection heuristic of Goldberg &
-  // Harrelson that the paper cites.
-  NodeId start = static_cast<NodeId>(rng.NextBounded(n));
+  // Harrelson that the paper cites. One workspace serves every search, and
+  // a selection round reads the search from `current` still held in it.
+  SearchWorkspace ws;
+  auto distances = [&ws, n] {
+    std::vector<Dist> dist(n);
+    for (NodeId v = 0; v < n; ++v) dist[v] = ws.DistTo(v);
+    return dist;
+  };
+  idx.from_.resize(num_landmarks);
+  idx.to_.resize(num_landmarks);
+  NodeId current = static_cast<NodeId>(rng.NextBounded(n));
   std::vector<Dist> min_dist(n, kInfDist);
-  NodeId current = start;
+  DijkstraAll(g, current, ws);
   for (uint32_t l = 0; l < num_landmarks; ++l) {
-    SearchTree tree = DijkstraAll(g, current);
     NodeId farthest = current;
     Dist best = 0;
     for (NodeId v = 0; v < n; ++v) {
-      if (tree.dist[v] == kInfDist) continue;
-      min_dist[v] = std::min(min_dist[v], tree.dist[v]);
+      const Dist d = ws.DistTo(v);
+      if (d == kInfDist) continue;
+      min_dist[v] = std::min(min_dist[v], d);
       if (min_dist[v] >= best &&
           std::find(idx.landmarks_.begin(), idx.landmarks_.end(), v) ==
               idx.landmarks_.end()) {
@@ -48,18 +57,18 @@ Result<LandmarkIndex> LandmarkIndex::Build(const graph::Graph& g,
     }
     idx.landmarks_.push_back(farthest);
     current = farthest;
-    // Fold the new landmark's distances in for the next selection round.
-    SearchTree from_new = DijkstraAll(g, farthest);
+    // The new landmark's distances are its from_ row; fold them in for the
+    // next selection round.
+    DijkstraAll(g, farthest, ws);
+    idx.from_[l] = distances();
     for (NodeId v = 0; v < n; ++v) {
-      min_dist[v] = std::min(min_dist[v], from_new.dist[v]);
+      min_dist[v] = std::min(min_dist[v], idx.from_[l][v]);
     }
   }
 
-  idx.from_.resize(num_landmarks);
-  idx.to_.resize(num_landmarks);
   for (uint32_t l = 0; l < num_landmarks; ++l) {
-    idx.from_[l] = DijkstraAll(g, idx.landmarks_[l]).dist;
-    idx.to_[l] = DijkstraAll(rev, idx.landmarks_[l]).dist;
+    DijkstraAll(rev, idx.landmarks_[l], ws);
+    idx.to_[l] = distances();
   }
   return idx;
 }

@@ -17,8 +17,9 @@ namespace airindex::algo {
 class LandmarkIndex {
  public:
   /// Builds an index with `num_landmarks` anchors chosen by farthest-point
-  /// selection (seeded deterministically), running 2*num_landmarks full
-  /// Dijkstras (forward + on the reverse graph).
+  /// selection (seeded deterministically), running 2*num_landmarks + 1
+  /// full Dijkstras (forward + on the reverse graph, plus one from the
+  /// random start) in one reused workspace.
   static Result<LandmarkIndex> Build(const graph::Graph& g,
                                      uint32_t num_landmarks,
                                      uint64_t seed = 17);

@@ -37,13 +37,8 @@ class SpqIndex {
   };
 
   /// Builds the full index: one all-targets Dijkstra plus one quadtree per
-  /// node (parallelized). Memory grows with num_nodes * quadtree size, so
-  /// use BuildSizeOnly for large networks when only the footprint matters.
+  /// node (parallelized). Memory grows with num_nodes * quadtree size.
   static Result<SpqIndex> Build(const graph::Graph& g);
-
-  /// Computes the serialized broadcast size of the index without retaining
-  /// the trees (used for Table 1/2 at larger scales).
-  static Result<size_t> BuildSizeOnly(const graph::Graph& g);
 
   /// First-hop arc ordinal at `v` for a target located at `p`, or
   /// QtNode::kNoColor if the cell is empty (never happens for real targets).

@@ -8,6 +8,7 @@
 namespace airindex::algo {
 namespace {
 
+using testing_support::HandBuiltZeroWeight;
 using testing_support::RandomPairs;
 using testing_support::SmallNetwork;
 
@@ -65,13 +66,24 @@ TEST(SpqTest, FirstHopLiesOnShortestPath) {
   }
 }
 
-TEST(SpqTest, SizeOnlyBuildMatchesFullBuild) {
-  graph::Graph g = SmallNetwork(100, 160, 67);
+TEST(SpqTest, ZeroWeightArcsColourEveryReachableNode) {
+  // A zero-weight arc gives a child the same distance as its parent, so
+  // colouring must follow the search's settle order, not distance alone.
+  graph::Graph g = HandBuiltZeroWeight();
   auto idx = SpqIndex::Build(g);
-  auto size_only = SpqIndex::BuildSizeOnly(g);
   ASSERT_TRUE(idx.ok());
-  ASSERT_TRUE(size_only.ok());
-  EXPECT_EQ(idx->IndexBytes(), *size_only);
+  size_t reachable = 0;
+  for (graph::NodeId s = 0; s < g.num_nodes(); ++s) {
+    for (graph::NodeId t = 0; t < g.num_nodes(); ++t) {
+      const graph::Dist d = DijkstraPath(g, s, t).dist;
+      if (s == t || d == graph::kInfDist) continue;
+      ++reachable;
+      EXPECT_NE(idx->ColorOf(s, g.Coord(t)), SpqIndex::QtNode::kNoColor)
+          << s << "->" << t;
+      EXPECT_EQ(idx->Query(g, s, t).dist, d) << s << "->" << t;
+    }
+  }
+  EXPECT_EQ(reachable, 246u);
 }
 
 TEST(SpqTest, FromPartsReproducesQueries) {

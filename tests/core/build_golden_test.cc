@@ -72,5 +72,30 @@ TEST(BuildGoldenTest, CyclesGermany03) {
   ExpectCycles(testing_support::Germany(0.3), &CycleCase::germany_03);
 }
 
+// The hand-built graph's zero-weight arcs tie children with their parents
+// on distance. The build that sorted nodes by distance could colour such a
+// child before its parent, leaving it uncoloured (25 of the 246 reachable
+// pairs); these two constants, unlike the ones above, were recorded after
+// the settle-order colouring fixed that.
+TEST(BuildGoldenTest, SpqHandBuiltZeroWeight) {
+  const graph::Graph g = testing_support::HandBuiltZeroWeight();
+  const struct {
+    broadcast::CycleEncoding encoding;
+    const char* digest;
+  } cases[] = {{broadcast::CycleEncoding::kLegacy, "0x40a4fb0e531666b8"},
+               {broadcast::CycleEncoding::kCompact, "0x9e390a9b7bbed1c0"}};
+  SystemRegistry registry;
+  for (const auto& c : cases) {
+    SystemParams params;
+    params.build.encoding = c.encoding;
+    auto cold = BuildSystem(g, "SPQ", params);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(Hex(DigestOf((*cold)->cycle())), c.digest);
+    auto cached = registry.Get(g, "SPQ", params);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_EQ(Hex(DigestOf((*cached)->cycle())), c.digest);
+  }
+}
+
 }  // namespace
 }  // namespace airindex::core
